@@ -11,7 +11,7 @@ enough.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +26,10 @@ from .core import (
     SignMatrix,
     WitnessFamily,
     sign_matrix,
-    thread_count,
     warn_if_underflow,
 )
 from . import closedform
-from .numeric import SearchConfig, morrey_norm_numeric
+from .numeric import SearchConfig, morrey_norm_numeric, morrey_norms_shared
 
 #: Search resolution used for witness verification.  Combination profiles
 #: carry every annulus boundary in the grid, and the decisive centered balls
@@ -134,9 +133,15 @@ def build_witnesses(params: MorreyParams, n: int, delta: float,
             f"epsilon must lie strictly inside (0, {bound}), got {epsilon}"
         )
     num_annuli = matrix.num_patterns
+    radii = _epsilon_boundaries(epsilon, num_annuli)
+    if not radii[num_annuli] >= sys.float_info.min:
+        raise NumericalFailure(
+            f"n={n} needs K={num_annuli} annuli and the innermost radius "
+            f"epsilon^K = {epsilon!r}^{num_annuli} is not a positive normal "
+            "double; use a larger epsilon or a smaller n"
+        )
     warn_if_underflow(params, epsilon, num_annuli)
 
-    radii = _epsilon_boundaries(epsilon, num_annuli)
     shared = closedform.centered_norm(
         PiecewiseRadialPower.power_restriction(params, radii[num_annuli], 1.0)
     ).value
@@ -184,31 +189,36 @@ def _combination_profiles(family: WitnessFamily):
     return profiles
 
 
+def _signed_combinations(family: WitnessFamily, cfg: SearchConfig, extra=()):
+    """All signed-combination norms, plus the norms of the profiles in
+    extra (on the family's annuli) scored as further columns of the same
+    shared search."""
+    jobs = _combination_profiles(family)
+    reports = morrey_norms_shared([profile for _, profile in jobs] + list(extra), cfg)
+    values = [r.value for r in reports[:len(jobs)]]
+    argmin = int(np.argmin(values))
+    combinations = SignedCombinationReport(
+        patterns=tuple(pattern for pattern, _ in jobs),
+        reports=tuple(reports[:len(jobs)]),
+        min_over_patterns=values[argmin],
+        pattern=jobs[argmin][0],
+        norm_value=values[argmin],
+    )
+    return combinations, reports[len(jobs):]
+
+
 def min_signed_norm(family: WitnessFamily,
                     cfg: SearchConfig = WITNESS_SEARCH) -> SignedCombinationReport:
     """Norms of all 2^(n-1) signed combinations and their minimum.
 
     Combinations can mix signs, so their moduli need not be radially
-    monotone; every norm goes through the off-center search.
+    monotone; every norm goes through the off-center search.  They all live
+    on the family's annuli, so one shared grid pass scores every pattern
+    (numeric.morrey_norms_shared); each pattern's best ball is refined and
+    re-scored with the adaptive integral, and abs_uncertainty is
+    max(|batched value - rescored value|, 1e-9 * value).
     """
-    jobs = _combination_profiles(family)
-    workers = thread_count()
-    if workers == 1:
-        reports = [morrey_norm_numeric(profile, cfg) for _, profile in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(
-                pool.map(lambda job: morrey_norm_numeric(job[1], cfg), jobs)
-            )
-    values = [r.value for r in reports]
-    argmin = int(np.argmin(values))
-    return SignedCombinationReport(
-        patterns=tuple(pattern for pattern, _ in jobs),
-        reports=tuple(reports),
-        min_over_patterns=values[argmin],
-        pattern=jobs[argmin][0],
-        norm_value=values[argmin],
-    )
+    return _signed_combinations(family, cfg)[0]
 
 
 def theoretical_lower_bound(family: WitnessFamily) -> float:
@@ -301,9 +311,9 @@ def estimate_constants(params: MorreyParams, n: int, delta_sequence,
     best_ratio = (-math.inf, None)
     for delta in deltas:
         family = build_witnesses(params, n, delta)
-        report = min_signed_norm(family, cfg)
+        report, (base,) = _signed_combinations(family, cfg, (family.functions[0],))
         _check_envelope(family, report)
-        ratio = nj_ratio(family, cfg=cfg, combinations=report)
+        ratio = _family_nj_ratio(family, report, base.value)
         rows.append(LadderRow(
             delta=delta,
             epsilon=family.epsilon,
@@ -352,7 +362,9 @@ def nj_ratio(obj, cfg: SearchConfig = WITNESS_SEARCH,
     """sum over signs of ||x_1 +- ... +- x_n||^2 over 2^(n-1) sum ||x_i||^2.
 
     Equals 1 identically for Euclidean tuples: expanding the squares, every
-    cross term is multiplied by a balanced set of signs and cancels.
+    cross term is multiplied by a balanced set of signs and cancels.  For a
+    witness family without precomputed combinations, the denominator's norm
+    of functions[0] is one more column of the combinations' shared search.
     """
     if isinstance(obj, FiniteVectorTuple):
         norms = obj.vector_norms()
@@ -361,12 +373,19 @@ def nj_ratio(obj, cfg: SearchConfig = WITNESS_SEARCH,
         signed = _tuple_signed_norms(obj)
         return float(np.sum(signed**2) / (signed.size * np.sum(norms**2)))
     if isinstance(obj, WitnessFamily):
-        report = combinations if combinations is not None else min_signed_norm(obj, cfg)
-        signed = report.norm_values
-        # All family members share one modulus, hence one norm.
-        base = morrey_norm_numeric(obj.functions[0], cfg).value
-        return float(np.sum(signed**2) / (signed.size * obj.n * base**2))
+        if combinations is None:
+            combinations, (base,) = _signed_combinations(obj, cfg, (obj.functions[0],))
+        else:
+            base = morrey_norm_numeric(obj.functions[0], cfg)
+        return _family_nj_ratio(obj, combinations, base.value)
     raise ParameterError(f"unsupported operand {type(obj).__name__}")
+
+
+def _family_nj_ratio(family: WitnessFamily, combinations: SignedCombinationReport,
+                     base: float) -> float:
+    # All family members share one modulus, hence the one norm base.
+    signed = combinations.norm_values
+    return float(np.sum(signed**2) / (signed.size * family.n * base**2))
 
 
 def j_nj_inequality_check(samples, cfg: SearchConfig = WITNESS_SEARCH,

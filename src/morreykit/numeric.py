@@ -1,6 +1,7 @@
 """Brute-force norm evaluation: off-center ball integrals via the radial
-reduction, grid search over (center distance, radius), local refinement,
-and Monte Carlo cross-checks.
+reduction, a grid search over (center distance, radius) with a batched local
+refinement, shared by profiles on the same annuli, and Monte Carlo
+cross-checks.
 
 For a radial integrand, the integral over a ball B(a, R) collapses to
 
@@ -18,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import integrate, special
 
 from .core import (
     Ball,
@@ -268,57 +269,66 @@ def monotone_profile_check(profile: PiecewiseRadialPower) -> bool:
 
 
 class _BatchObjective:
-    """Morrey quantity evaluated on arrays of (center_dist, radius) pairs.
+    """Morrey quantities of several profiles on arrays of (center_dist,
+    radius) pairs.
 
-    Fixed-order Gauss-Legendre on the cap region (after the u = r^alpha
-    substitution) keeps the whole grid stage in numpy; accuracy there only
-    has to be good enough to find the right basin, the winner is re-scored
-    with the adaptive integral.
+    The profiles share params and annuli and differ only in their
+    coefficients, so each call computes the per-annulus masses once, as a
+    (balls x K) matrix of closed-form full-sphere interval masses plus cap
+    panels, and one matmul with the (K x P) matrix of |coeff|^p columns gives
+    the masses of all P profiles.  Fixed-order Gauss-Legendre on the cap
+    region (after the u = r^alpha substitution) keeps the whole grid stage in
+    numpy; accuracy there only has to be good enough to find the right ball.
+    The search re-scores each winner with the adaptive integral and reports
+    abs_uncertainty = max(|batched value - rescored value|, 1e-9 * value).
     """
 
-    def __init__(self, profile: PiecewiseRadialPower, quad_points: int):
-        params = profile.params
+    def __init__(self, profiles, quad_points: int):
+        params = profiles[0].params
         self.d = params.d
         self.p, self.q = params.p, params.q
         self.alpha = params.alpha
-        self.lo, self.hi, self.cp = _segment_arrays(profile)
+        annuli = [ann for ann, _ in profiles[0].segments]
+        if any(profile.params != params or [ann for ann, _ in profile.segments] != annuli
+               for profile in profiles):
+            raise ParameterError("batched profiles must share params and annuli")
+        self.lo, self.hi, _ = _segment_arrays(profiles[0])
+        self.cp = np.abs(np.array([pr.coefficients for pr in profiles]).T) ** params.p
         self.vol_coeff = params.sphere_area / self.d
         nodes, weights = np.polynomial.legendre.leggauss(quad_points)
         self.nodes = 0.5 * (nodes + 1.0)
         self.weights = 0.5 * weights
 
     def __call__(self, center, radius):
+        """(balls x P) array of Morrey quantities, 0 where a ball has no mass."""
         a = np.atleast_1d(np.asarray(center, dtype=float))
         big_r = np.atleast_1d(np.asarray(radius, dtype=float))
         if self.d == 1:
-            mass = self._mass_1d(a, big_r)
+            per_annulus = self._interval_mass(np.maximum(a - big_r, 0.0), a + big_r) + \
+                self._interval_mass(np.zeros_like(a), big_r - a)
         else:
-            mass = self._mass_full(a, big_r) + self._mass_cap(a, big_r)
+            per_annulus = self._cap_mass(a, big_r) + sphere_area(self.d) * \
+                self._interval_mass(np.zeros_like(a), np.maximum(big_r - a, 0.0))
+        mass = per_annulus @ self.cp
         with np.errstate(divide="ignore", invalid="ignore"):
             log_ball = np.log(self.vol_coeff) + self.d * np.log(big_r)
-            log_val = (1.0 / self.q - 1.0 / self.p) * log_ball + np.log(mass) / self.p
+            log_val = (1.0 / self.q - 1.0 / self.p) * log_ball[:, None] \
+                + np.log(mass) / self.p
             value = np.exp(log_val)
         return np.where(np.isfinite(value), value, 0.0)
 
     def _interval_mass(self, w_lo, w_hi):
-        """sum_k cp_k * (closed-form power integral over seg_k cut to [w_lo, w_hi])."""
+        """(balls x K) closed-form power integrals over each annulus cut to
+        [w_lo, w_hi]."""
         s_lo = np.maximum(self.lo[None, :], w_lo[:, None])
         s_hi = np.minimum(self.hi[None, :], w_hi[:, None])
         diff = np.clip(
             _log_pow(s_hi, self.alpha) - _log_pow(s_lo, self.alpha), 0.0, None
         )
-        return (diff / self.alpha) @ self.cp
+        return diff / self.alpha
 
-    def _mass_1d(self, a, big_r):
-        return self._interval_mass(np.maximum(a - big_r, 0.0), a + big_r) + \
-            self._interval_mass(np.zeros_like(a), big_r - a)
-
-    def _mass_full(self, a, big_r):
-        return sphere_area(self.d) * self._interval_mass(
-            np.zeros_like(a), np.maximum(big_r - a, 0.0)
-        )
-
-    def _mass_cap(self, a, big_r):
+    def _cap_mass(self, a, big_r):
+        """(balls x K) cap-region integrals, by Gauss-Legendre in u = r^alpha."""
         s_lo = np.maximum(self.lo[None, :], np.abs(big_r - a)[:, None])
         s_hi = np.minimum(self.hi[None, :], (big_r + a)[:, None])
         u_lo = _log_pow(s_lo, self.alpha)
@@ -326,7 +336,7 @@ class _BatchObjective:
         width = np.clip(u_hi - u_lo, 0.0, None)
         active = (width > 0.0) & (a[:, None] > 0.0)
         if not active.any():
-            return np.zeros(a.shape[0])
+            return np.zeros_like(width)
         u = u_lo[..., None] + width[..., None] * self.nodes  # (B, K, Q)
         with np.errstate(divide="ignore", invalid="ignore"):
             r = u ** (1.0 / self.alpha)
@@ -339,7 +349,7 @@ class _BatchObjective:
         theta = np.arccos(np.clip(cos_half, -1.0, 1.0))
         angle = sin_power_integral(self.d - 2, theta)
         panel = (angle @ self.weights) * width * active
-        return sphere_area(self.d - 1) / self.alpha * (panel @ self.cp)
+        return sphere_area(self.d - 1) / self.alpha * panel
 
 
 def _radius_grid(profile: PiecewiseRadialPower, cfg: SearchConfig) -> np.ndarray:
@@ -360,117 +370,171 @@ def _center_grid(profile: PiecewiseRadialPower, cfg: SearchConfig) -> np.ndarray
     return np.unique(np.concatenate([lin, log, np.asarray(bounds, dtype=float)]))
 
 
-def _pure_power_report(profile: PiecewiseRadialPower) -> NormReport:
-    objective = _BatchObjective(profile, 4)
+def _pure_power_reports(profiles) -> list:
+    objective = _BatchObjective(profiles, 4)
     radii = np.array([0.25, 1.0, 7.5])
-    vals = objective(np.zeros_like(radii), radii)
+    vals = objective(np.zeros_like(radii), radii)[:, 0]
     spread = float(vals.max() - vals.min())
-    return NormReport(
+    report = NormReport(
         value=float(vals.max()),
         argmax_ball=Ball(0.0, float(radii[int(np.argmax(vals))])),
         method=NormMethod.CENTERED_SEARCH,
         abs_uncertainty=max(spread, float(vals.max()) * 1e-14),
     )
+    return [report] * len(profiles)
 
 
 def morrey_norm_numeric(profile: PiecewiseRadialPower,
                         cfg: SearchConfig = DEFAULT_SEARCH) -> NormReport:
     """Supremum search over center distance and radius.
 
-    Two stages: a multiscale grid (dense centered sweep plus an off-center
-    lattice, both augmented with every annulus boundary), then Nelder-Mead
-    refinement in (center, log radius) from the best grid point.  The
-    returned value re-scores the winning ball with the adaptive integral;
-    the uncertainty is the value movement in the final refinement step.
+    This is morrey_norms_shared on the single profile: a multiscale grid
+    (dense centered sweep plus an off-center lattice, both augmented with
+    every annulus boundary), a compass refinement of the best grid ball, and
+    an adaptive re-score of the winner.  abs_uncertainty is
+    max(|batched value - rescored value|, 1e-9 * value).
     """
-    if profile.is_pure_power:
-        # The off-center supremum coincides with the centered one here, and
-        # the centered quantity does not depend on the radius.
-        return _pure_power_report(profile)
+    return morrey_norms_shared([profile], cfg)[0]
 
-    objective = _BatchObjective(profile, cfg.quad_points)
-    radii = _radius_grid(profile, cfg)
-    centers = _center_grid(profile, cfg)
+
+def morrey_norms_shared(profiles, cfg: SearchConfig = DEFAULT_SEARCH) -> list:
+    """Supremum searches for profiles that share params and annuli, from one
+    grid pass; returns one NormReport per profile, in order.
+
+    Every grid ball is scored for all profiles at once (see _BatchObjective).
+    Each profile keeps its own best ball, which _refine improves in batched
+    rounds; the grid ball and the refined ball are re-scored with the
+    adaptive integral, the larger value wins and is checked for a supremum
+    beyond the radius grid.  abs_uncertainty is max(|batched value -
+    rescored value|, 1e-9 * value).
+    """
+    profiles = list(profiles)
+    if not profiles:
+        raise ParameterError("need at least one profile")
+    if profiles[0].is_pure_power:
+        # The off-center supremum coincides with the centered one here, and
+        # the centered quantity does not depend on the radius.  The pure
+        # power's single annulus forces the unit coefficient, so every
+        # profile sharing it is the pure power too.
+        return _pure_power_reports(profiles)
+
+    objective = _BatchObjective(profiles, cfg.quad_points)
+    radii = _radius_grid(profiles[0], cfg)
+    centers = _center_grid(profiles[0], cfg)
+    columns = np.arange(len(profiles))
 
     # Dense centered sweep: closed-form per ball, so extra resolution is free.
     dense_r = np.unique(np.concatenate([radii, np.geomspace(
         radii[0], radii[-1], 4 * cfg.radius_grid)]))
     cen_vals = objective(np.zeros_like(dense_r), dense_r)
-    best_idx = int(np.argmax(cen_vals))
-    best = (0.0, float(dense_r[best_idx]), float(cen_vals[best_idx]))
+    idx = np.argmax(cen_vals, axis=0)
+    best_a = np.zeros(len(profiles))
+    best_r = dense_r[idx]
+    best_v = cen_vals[idx, columns]
 
     aa, rr = np.meshgrid(centers, radii, indexing="ij")
     aa, rr = aa.ravel(), rr.ravel()
     chunk = 8192
     for start in range(0, aa.size, chunk):
-        vals = objective(aa[start:start + chunk], rr[start:start + chunk])
-        idx = int(np.argmax(vals))
-        if float(vals[idx]) > best[2]:
-            best = (float(aa[start + idx]), float(rr[start + idx]), float(vals[idx]))
+        a_c, r_c = aa[start:start + chunk], rr[start:start + chunk]
+        vals = objective(a_c, r_c)
+        idx = np.argmax(vals, axis=0)
+        better = vals[idx, columns] > best_v
+        best_a = np.where(better, a_c[idx], best_a)
+        best_r = np.where(better, r_c[idx], best_r)
+        best_v = np.where(better, vals[idx, columns], best_v)
 
-    if best[2] == 0.0:
-        return NormReport(
-            value=0.0,
-            argmax_ball=Ball(best[0], best[1]),
-            method=NormMethod.OFFCENTER_SEARCH,
-            abs_uncertainty=0.0,
-        )
+    ref_a, ref_r, ref_v = _refine(objective, best_a, best_r, best_v)
+    reports = []
+    for j, profile in enumerate(profiles):
+        candidates = [(best_a[j], best_r[j], best_v[j])]
+        if ref_v[j] > best_v[j]:
+            candidates.append((ref_a[j], ref_r[j], ref_v[j]))
+        reports.append(_rescored_report(objective, j, profile, candidates, cfg))
+    return reports
 
-    a0, r0, v0 = best
-    history = [v0]
 
-    def negated(x):
-        value = float(objective(abs(x[0]), math.exp(x[1]))[0])
-        if value > history[-1]:
-            history.append(value)
-        return -value
+#: Compass refinement: the first step as a share of the grid winner's
+#: radius, the factor a step shrinks by after a round without improvement,
+#: the relative step at which a profile stops, and a cap on the rounds.
+_STEP_START, _STEP_SHRINK, _STEP_STOP, _MAX_ROUNDS = 0.1, 0.25, 1e-12, 200
+_MOVES = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
 
-    result = optimize.minimize(
-        negated, np.array([a0, math.log(r0)]), method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": v0 * 1e-13, "maxiter": 400},
-    )
-    a_ref, r_ref = abs(float(result.x[0])), math.exp(float(result.x[1]))
-    refined = float(-result.fun)
 
-    # Re-score the winner (and the grid best) with the adaptive integral.
-    candidates = [(a0, r0)]
-    if refined >= v0:
-        candidates.insert(0, (a_ref, r_ref))
-    best_val, best_ball = -1.0, None
-    for a_c, r_c in candidates:
-        ball = Ball(a_c, r_c)
-        mass = ball_p_integral(profile, ball, cfg)
-        value = 0.0
-        if mass > 0.0:
-            params = profile.params
-            log_ball = math.log(params.sphere_area / params.d) + params.d * math.log(r_c)
-            value = math.exp(
-                (1.0 / params.q - 1.0 / params.p) * log_ball
-                + math.log(mass) / params.p
-            )
-        if value > best_val:
-            best_val, best_ball = value, ball
+def _refine(objective, a0, r0, v0):
+    """Batched compass search from every profile's grid winner.
 
-    _check_divergence(objective, profile, best_ball, best_val)
+    A ball's radial window runs from x1 = a - R to x2 = a + R.  The
+    objective has kinks where a window end crosses an annulus boundary;
+    they are axis-parallel in (x1, x2), so moving one end at a time walks
+    along them into the corners where both ends sit on boundaries.  That is
+    where thin off-center shells put the supremum, and the grid, which
+    holds centers and radii rather than window ends, has no point there.
+    One objective call per round scores the four moves of every profile
+    still refining.  Returns the refined centers, radii and batched values.
+    """
+    x1, x2, best = a0 - r0, a0 + r0, v0.copy()
+    step = _STEP_START * r0
+    active = best > 0.0
+    for _ in range(_MAX_ROUNDS):
+        cols = np.flatnonzero(active)
+        if cols.size == 0:
+            break
+        t1 = x1[cols] + _MOVES[:, :1] * step[cols]
+        t2 = x2[cols] + _MOVES[:, 1:] * step[cols]
+        i = np.arange(cols.size)
+        vals = objective(0.5 * np.abs(t1 + t2).ravel(), 0.5 * (t2 - t1).ravel())
+        vals = vals.reshape(len(_MOVES), cols.size, -1)[:, i, cols]
+        k = np.argmax(vals, axis=0)
+        gain = vals[k, i] > best[cols]
+        up, k_up, i_up = cols[gain], k[gain], i[gain]
+        x1[up], x2[up], best[up] = t1[k_up, i_up], t2[k_up, i_up], vals[k_up, i_up]
+        still = cols[~gain]
+        step[still] *= _STEP_SHRINK
+        active[still] = step[still] > _STEP_STOP * 0.5 * (x2[still] - x1[still])
+    return 0.5 * np.abs(x1 + x2), 0.5 * (x2 - x1), best
 
-    last_step = history[-1] - history[-2] if len(history) > 1 else 0.0
-    uncertainty = max(last_step, abs(refined - best_val), best_val * 1e-9)
+
+def _rescored_report(objective, column, profile, candidates, cfg) -> NormReport:
+    """Re-score one profile's candidate balls, given as (center, radius,
+    batched value), with the adaptive integral and report the best."""
+    value, ball, batched = -1.0, None, 0.0
+    for a, r, v in candidates:
+        cand = Ball(a, r)
+        score = _rescore(profile, cand, cfg) if v > 0.0 else 0.0
+        if score > value:
+            value, ball, batched = score, cand, float(v)
+    if batched > 0.0:
+        _check_divergence(objective, column, profile, ball, value)
     return NormReport(
-        value=best_val,
-        argmax_ball=best_ball,
+        value=value,
+        argmax_ball=ball,
         method=NormMethod.OFFCENTER_SEARCH,
-        abs_uncertainty=uncertainty,
+        abs_uncertainty=max(abs(batched - value), value * 1e-9),
     )
 
 
-def _check_divergence(objective, profile, ball, value):
+def _rescore(profile, ball, cfg) -> float:
+    """The Morrey quantity of one ball, with the adaptive integral."""
+    mass = ball_p_integral(profile, ball, cfg)
+    if mass <= 0.0:
+        return 0.0
+    params = profile.params
+    log_ball = math.log(params.sphere_area / params.d) \
+        + params.d * math.log(ball.radius)
+    return math.exp(
+        (1.0 / params.q - 1.0 / params.p) * log_ball + math.log(mass) / params.p
+    )
+
+
+def _check_divergence(objective, column, profile, ball, value):
     """Raise when the search ended on the outer boundary still climbing."""
     cap = 4.0 * profile.support_radius
     if ball.radius < 0.95 * cap:
         return
     probes = objective(
         np.full(3, ball.center_dist), ball.radius * np.array([1.0, 1.5, 2.25])
-    )
+    )[:, column]
     if probes[2] > probes[1] > probes[0] and probes[2] > value:
         raise NumericalFailure(
             "objective still increasing at the radius search boundary"

@@ -102,6 +102,13 @@ class TestWitness:
         assert code == 2
         assert "delta" in err
 
+    def test_underflowing_radius_exit_3(self, capsys):
+        code, out, err = run(capsys, "witness", "--n", "9", "--d", "1",
+                             "--delta", "0.1")
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err and "n=9" in err and "K=256" in err
+
     def test_epsilon_out_of_range(self, capsys):
         code, _, err = run(capsys, "witness", "--delta", "0.1", "--epsilon", "0.5")
         assert code == 2

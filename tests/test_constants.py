@@ -7,6 +7,7 @@ from morreykit import (
     ConstantEstimate,
     FiniteVectorTuple,
     MorreyParams,
+    NumericalFailure,
     ParameterError,
     PiecewiseRadialPower,
     build_witnesses,
@@ -23,7 +24,11 @@ from morreykit import (
     sign_matrix,
     verify_non_ell1n,
 )
-from morreykit.constants import WITNESS_SEARCH, estimate_constants
+from morreykit.constants import (
+    WITNESS_SEARCH,
+    _combination_profiles,
+    estimate_constants,
+)
 from morreykit.sampling import random_euclidean_tuple, random_lp_tuple
 
 P121 = MorreyParams(1.0, 2.0, 1)
@@ -88,6 +93,12 @@ class TestBuildWitnesses:
         with pytest.warns(RuntimeWarning):
             build_witnesses(MorreyParams(1.0, 3.0, 3), 11, 0.5, epsilon=0.677)
 
+    def test_innermost_radius_underflow_raises(self):
+        # alpha = 1/2 < 1: eps^K underflows to 0 at n = 9 (K = 256) while
+        # eps^(alpha K) is still above the warning threshold
+        with pytest.raises(NumericalFailure, match=r"n=9.*K=256.*0\.005"):
+            build_witnesses(P121, 9, 0.1)
+
 
 class TestCombinationCoefficients:
     def test_n2_combinations(self):
@@ -144,6 +155,30 @@ class TestMinSignedNorm:
         monkeypatch.setenv("MORREYKIT_THREADS", "3")
         threaded = min_signed_norm(family)
         assert serial.norm_values.tolist() == threaded.norm_values.tolist()
+
+
+class TestSharedSearch:
+    """One grid pass for all patterns gives the single-profile results."""
+
+    @pytest.mark.parametrize("params", [P121, P122])
+    @pytest.mark.parametrize("n", [3, 4])  # even n zeroes some coefficients
+    def test_patterns_match_single_profile_search(self, params, n):
+        family = build_witnesses(params, n, 0.1)
+        report = min_signed_norm(family)
+        for (pattern, profile), shared in zip(_combination_profiles(family),
+                                              report.reports):
+            alone = morrey_norm_numeric(profile, WITNESS_SEARCH).value
+            assert math.isclose(shared.value, alone, rel_tol=1e-12), pattern
+
+    @pytest.mark.parametrize("params", [P121, P122])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_ladder_nj_ratio_matches_standalone(self, params, n):
+        row = estimate_constants(params, n, [0.1]).rows[0]
+        family = build_witnesses(params, n, 0.1)
+        assert math.isclose(row.nj_ratio, nj_ratio(family), rel_tol=1e-12)
+        # the standalone base search on functions[0] alone
+        separate = nj_ratio(family, combinations=min_signed_norm(family))
+        assert math.isclose(row.nj_ratio, separate, rel_tol=1e-12)
 
 
 class TestVerifyNonEll1n:

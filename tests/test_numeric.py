@@ -17,6 +17,7 @@ from morreykit import (
     centered_norm,
     monotone_profile_check,
     morrey_norm_numeric,
+    morrey_norms_shared,
     power_norm_exact,
     shell_area,
     sin_power_integral,
@@ -313,6 +314,27 @@ class TestMorreyNormNumeric:
             report = morrey_norm_numeric(profile, FAST)
             assert report.value >= closed * (1.0 - 1e-6)
 
+    def test_supremum_at_window_corner(self):
+        # The best ball covers exactly the outer segment (1.717, 2.221): both
+        # ends of its radial window sit on boundaries, a (center, radius)
+        # pair that no grid holds, and it beats the grid's best by about 2%.
+        params = MorreyParams(1.1224139543823741, 2.4167178382700034, 1)
+        bounds = (0.9062843287984365, 0.9476917573206366, 1.0710172462046843,
+                  1.7168373684630203, 2.2208841455043653)
+        coeffs = (0.946180050140826, 2.3225425362469236, 0.015709543378024254,
+                  -2.1934916856306774)
+        profile = PiecewiseRadialPower(params, tuple(
+            (Annulus(lo, hi), c) for lo, hi, c in zip(bounds, bounds[1:], coeffs)))
+        lo, hi = bounds[3], bounds[4]
+        # d = 1: the ball covers one of the annulus' two intervals
+        mass = abs(coeffs[3]) ** params.p * annulus_p_integral(params, Annulus(lo, hi)) / 2
+        corner = params.ball_volume((hi - lo) / 2) ** (1 / params.q - 1 / params.p) \
+            * mass ** (1 / params.p)
+        for cfg in (FAST, SearchConfig()):
+            report = morrey_norm_numeric(profile, cfg)
+            assert report.value >= corner * (1.0 - 1e-12)
+            assert report.value <= corner * (1.0 + 1e-9)
+
     def test_deterministic(self):
         params = MorreyParams(1.0, 2.0, 2)
         profile = PiecewiseRadialPower(
@@ -322,6 +344,38 @@ class TestMorreyNormNumeric:
         second = morrey_norm_numeric(profile, FAST)
         assert first.value == second.value
         assert first.argmax_ball == second.argmax_ball
+
+
+class TestMorreyNormsShared:
+    params = MorreyParams(1.0, 2.0, 2)
+    annuli = (Annulus(0.1, 0.6), Annulus(0.6, 1.1))
+
+    def _profile(self, *coeffs):
+        return PiecewiseRadialPower(self.params, tuple(zip(self.annuli, coeffs)))
+
+    def test_columns_match_single_searches(self):
+        profiles = [self._profile(1.0, -2.0), self._profile(0.0, 3.0),
+                    self._profile(0.0, 0.0)]
+        shared = morrey_norms_shared(profiles, FAST)
+        for profile, report in zip(profiles, shared):
+            alone = morrey_norm_numeric(profile, FAST)
+            assert math.isclose(report.value, alone.value, rel_tol=1e-12)
+            assert report.argmax_ball == alone.argmax_ball
+        assert shared[2].value == 0.0
+
+    def test_uncertainty_floored_and_small(self):
+        # max(|grid value - rescored value|, 1e-9 value): the fixed-order
+        # grid quadrature moves the winner's value far less than 1e-6
+        report = morrey_norm_numeric(self._profile(1.0, -2.0), FAST)
+        assert 1e-9 * report.value <= report.abs_uncertainty <= 1e-6 * report.value
+
+    def test_rejects_different_annuli(self):
+        other = PiecewiseRadialPower(self.params, ((Annulus(0.1, 0.5), 1.0),
+                                                   (Annulus(0.5, 1.1), 1.0)))
+        with pytest.raises(ParameterError):
+            morrey_norms_shared([self._profile(1.0, 1.0), other], FAST)
+        with pytest.raises(ParameterError):
+            morrey_norms_shared([], FAST)
 
 
 def test_search_config_validation():
