@@ -220,12 +220,10 @@ def _cmd_sweep(args) -> int:
         else:  # q
             row_params = MorreyParams(p=params.p, q=value, d=params.d)
             family = constants.build_witnesses(row_params, args.n, args.delta)
-        report = constants.min_signed_norm(family, cfg)
-        ratio = constants.nj_ratio(family, cfg=cfg, combinations=report)
-        bound = constants.theoretical_lower_bound(family)
+        row = constants.ladder_row(family, cfg)
         lines.append(",".join(
             _fmt(x) for x in
-            (value, bound, report.min_over_patterns, ratio)
+            (value, row.theoretical_lower_bound, row.min_signed_norm, row.nj_ratio)
         ))
     _write_text_atomic(args.out, "\n".join(lines) + "\n")
     return 0

@@ -302,6 +302,20 @@ def _validate_delta_sequence(delta_sequence) -> list:
     return deltas
 
 
+def ladder_row(family: WitnessFamily, cfg: SearchConfig = WITNESS_SEARCH) -> LadderRow:
+    """One family's minimum signed norm and NJ ratio, from one shared search
+    in which functions[0], the NJ denominator, is one more column."""
+    report, (base,) = _signed_combinations(family, cfg, (family.functions[0],))
+    _check_envelope(family, report)
+    return LadderRow(
+        delta=family.delta,
+        epsilon=family.epsilon,
+        min_signed_norm=report.min_over_patterns,
+        nj_ratio=_family_nj_ratio(family, report, base.value),
+        theoretical_lower_bound=theoretical_lower_bound(family),
+    )
+
+
 def estimate_constants(params: MorreyParams, n: int, delta_sequence,
                        cfg: SearchConfig = WITNESS_SEARCH) -> ConstantsLadder:
     """Run the witness ladder once and derive both lower bounds from it."""
@@ -310,21 +324,12 @@ def estimate_constants(params: MorreyParams, n: int, delta_sequence,
     best_min = (-math.inf, None)
     best_ratio = (-math.inf, None)
     for delta in deltas:
-        family = build_witnesses(params, n, delta)
-        report, (base,) = _signed_combinations(family, cfg, (family.functions[0],))
-        _check_envelope(family, report)
-        ratio = _family_nj_ratio(family, report, base.value)
-        rows.append(LadderRow(
-            delta=delta,
-            epsilon=family.epsilon,
-            min_signed_norm=report.min_over_patterns,
-            nj_ratio=ratio,
-            theoretical_lower_bound=theoretical_lower_bound(family),
-        ))
-        if report.min_over_patterns > best_min[0]:
-            best_min = (report.min_over_patterns, delta)
-        if ratio > best_ratio[0]:
-            best_ratio = (ratio, delta)
+        row = ladder_row(build_witnesses(params, n, delta), cfg)
+        rows.append(row)
+        if row.min_signed_norm > best_min[0]:
+            best_min = (row.min_signed_norm, delta)
+        if row.nj_ratio > best_ratio[0]:
+            best_ratio = (row.nj_ratio, delta)
 
     space = f"morrey(p={params.p}, q={params.q}, d={params.d})"
     james = ConstantEstimate(

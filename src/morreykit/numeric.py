@@ -273,14 +273,22 @@ class _BatchObjective:
     radius) pairs.
 
     The profiles share params and annuli and differ only in their
-    coefficients, so each call computes the per-annulus masses once, as a
-    (balls x K) matrix of closed-form full-sphere interval masses plus cap
-    panels, and one matmul with the (K x P) matrix of |coeff|^p columns gives
-    the masses of all P profiles.  Fixed-order Gauss-Legendre on the cap
-    region (after the u = r^alpha substitution) keeps the whole grid stage in
-    numpy; accuracy there only has to be good enough to find the right ball.
-    The search re-scores each winner with the adaptive integral and reports
-    abs_uncertainty = max(|batched value - rescored value|, 1e-9 * value).
+    coefficients, held as the (K x P) matrix of |coeff|^p columns.  A ball
+    B(a, R) splits the radial axis at its window (|R - a|, R + a): below it
+    every sphere lies wholly inside the ball (for R > a), above it none
+    does.  The full-sphere mass below max(R - a, 0) is a row of the
+    precomputed (K+1) x P prefix sums of whole-annulus masses plus one
+    partial annulus.  Inside the window only the annuli that meet it carry
+    mass, a contiguous index range because the annuli are sorted; those
+    (ball, annulus) pairs are listed CSR-style and each gets fixed-order
+    Gauss-Legendre on its cap-angle factor (after the u = r^alpha
+    substitution), and a segment sum scatters pair masses times |coeff|^p
+    back to the balls.  So a ball costs O(P) plus its active pairs.  For
+    d = 1 the folded interval (a - R, a + R) is twice the full part plus
+    the window, whose cap factor is exactly 1.  Accuracy only has to be
+    good enough to find the right ball: the search re-scores each winner
+    with the adaptive integral and reports abs_uncertainty = max(|batched
+    value - rescored value|, 1e-9 * value).
     """
 
     def __init__(self, profiles, quad_points: int):
@@ -298,18 +306,24 @@ class _BatchObjective:
         nodes, weights = np.polynomial.legendre.leggauss(quad_points)
         self.nodes = 0.5 * (nodes + 1.0)
         self.weights = 0.5 * weights
+        u_lo = _log_pow(self.lo, self.alpha)
+        whole = ((_log_pow(self.hi, self.alpha) - u_lo) / self.alpha)[:, None] * self.cp
+        self.prefix = np.cumsum(np.vstack([np.zeros_like(self.cp[:1]), whole]), axis=0)
+        # One sentinel annulus past the last, empty, for balls that hold all.
+        self.u_lo_ext = np.append(u_lo, np.inf)
+        self.cp_ext = np.vstack([self.cp, np.zeros_like(self.cp[:1])])
+        if self.d == 1:
+            self.full_factor, self.cap_factor = 2.0, 1.0 / self.alpha
+        else:
+            self.full_factor = sphere_area(self.d)
+            self.cap_factor = sphere_area(self.d - 1) / self.alpha
 
     def __call__(self, center, radius):
         """(balls x P) array of Morrey quantities, 0 where a ball has no mass."""
         a = np.atleast_1d(np.asarray(center, dtype=float))
         big_r = np.atleast_1d(np.asarray(radius, dtype=float))
-        if self.d == 1:
-            per_annulus = self._interval_mass(np.maximum(a - big_r, 0.0), a + big_r) + \
-                self._interval_mass(np.zeros_like(a), big_r - a)
-        else:
-            per_annulus = self._cap_mass(a, big_r) + sphere_area(self.d) * \
-                self._interval_mass(np.zeros_like(a), np.maximum(big_r - a, 0.0))
-        mass = per_annulus @ self.cp
+        mass = self.full_factor * self._full_mass(np.maximum(big_r - a, 0.0)) \
+            + self._window_mass(a, big_r)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_ball = np.log(self.vol_coeff) + self.d * np.log(big_r)
             log_val = (1.0 / self.q - 1.0 / self.p) * log_ball[:, None] \
@@ -317,39 +331,48 @@ class _BatchObjective:
             value = np.exp(log_val)
         return np.where(np.isfinite(value), value, 0.0)
 
-    def _interval_mass(self, w_lo, w_hi):
-        """(balls x K) closed-form power integrals over each annulus cut to
-        [w_lo, w_hi]."""
-        s_lo = np.maximum(self.lo[None, :], w_lo[:, None])
-        s_hi = np.minimum(self.hi[None, :], w_hi[:, None])
-        diff = np.clip(
-            _log_pow(s_hi, self.alpha) - _log_pow(s_lo, self.alpha), 0.0, None
-        )
-        return diff / self.alpha
+    def _full_mass(self, t):
+        """(balls x P) power integrals over (0, t): the prefix row of the
+        annuli wholly below t plus the part of the next annulus below t."""
+        j = np.searchsorted(self.hi, t, side="right")
+        partial = np.clip(_log_pow(t, self.alpha) - self.u_lo_ext[j], 0.0, None)
+        return self.prefix[j] + self.cp_ext[j] * (partial / self.alpha)[:, None]
 
-    def _cap_mass(self, a, big_r):
-        """(balls x K) cap-region integrals, by Gauss-Legendre in u = r^alpha."""
-        s_lo = np.maximum(self.lo[None, :], np.abs(big_r - a)[:, None])
-        s_hi = np.minimum(self.hi[None, :], (big_r + a)[:, None])
+    def _window_mass(self, a, big_r):
+        """(balls x P) masses inside each ball's window (|R - a|, R + a),
+        from the (ball, annulus) pairs that meet it."""
+        w_lo, w_hi = np.abs(big_r - a), big_r + a
+        first = np.searchsorted(self.hi, w_lo, side="right")
+        counts = np.where(w_hi > w_lo,
+                          np.searchsorted(self.lo, w_hi, side="left") - first, 0)
+        starts = np.cumsum(counts) - counts
+        ball = np.repeat(np.arange(a.size), counts)
+        ann = np.arange(ball.size) - starts[ball] + first[ball]
+        s_lo = np.maximum(self.lo[ann], w_lo[ball])
+        s_hi = np.minimum(self.hi[ann], w_hi[ball])
         u_lo = _log_pow(s_lo, self.alpha)
-        u_hi = _log_pow(s_hi, self.alpha)
-        width = np.clip(u_hi - u_lo, 0.0, None)
-        active = (width > 0.0) & (a[:, None] > 0.0)
-        if not active.any():
-            return np.zeros_like(width)
-        u = u_lo[..., None] + width[..., None] * self.nodes  # (B, K, Q)
+        width = np.clip(_log_pow(s_hi, self.alpha) - u_lo, 0.0, None)
+        if self.d >= 2:
+            width = width * self._cap_angle(u_lo, width, a[ball], big_r[ball])
+        out = np.zeros((a.size, self.cp.shape[1]))
+        nonempty = counts > 0
+        out[nonempty] = np.add.reduceat(
+            (self.cap_factor * width)[:, None] * self.cp[ann], starts[nonempty], axis=0
+        )
+        return out
+
+    def _cap_angle(self, u_lo, width, a, big_r):
+        """Mean cap-angle factor over each pair's u-panel, by Gauss-Legendre."""
+        u = u_lo[:, None] + width[:, None] * self.nodes  # (pairs, Q)
         with np.errstate(divide="ignore", invalid="ignore"):
             r = u ** (1.0 / self.alpha)
-            cos_half = (
-                a[:, None, None] ** 2 + r * r - big_r[:, None, None] ** 2
-            ) / (2.0 * a[:, None, None] * r)
-        # Inactive (zero-width or centered) panels produce 0/0 above; any
-        # value works there because the panel weight is zero.
+            cos_half = (a[:, None] ** 2 + r * r - big_r[:, None] ** 2) \
+                / (2.0 * a[:, None] * r)
+        # Zero-width panels can produce 0/0 above; any value works there
+        # because the panel weight is zero.
         cos_half = np.nan_to_num(cos_half, nan=1.0, posinf=1.0, neginf=-1.0)
         theta = np.arccos(np.clip(cos_half, -1.0, 1.0))
-        angle = sin_power_integral(self.d - 2, theta)
-        panel = (angle @ self.weights) * width * active
-        return sphere_area(self.d - 1) / self.alpha * panel
+        return sin_power_integral(self.d - 2, theta) @ self.weights
 
 
 def _radius_grid(profile: PiecewiseRadialPower, cfg: SearchConfig) -> np.ndarray:

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from morreykit import cli, constants
+from morreykit import MorreyParams, cli, constants
 
 
 def run(capsys, *argv):
@@ -197,6 +197,17 @@ class TestSweep:
         minima = [float(r[2]) for r in rows]
         # deltas decrease along the sweep, so the minima must not decrease
         assert all(b >= a - 1e-9 for a, b in zip(minima, minima[1:]))
+
+    def test_delta_row_matches_constants_ladder(self, capsys, tmp_path):
+        out_file = tmp_path / "row.csv"
+        code, _, _ = run(capsys, "sweep", "--vary", "delta", "--n", "3", "--d", "2",
+                         "--start", "0.1", "--stop", "0.1", "--steps", "1",
+                         "--out", str(out_file))
+        assert code == 0
+        _, printed = out_file.read_text().splitlines()
+        row = constants.estimate_constants(MorreyParams(1.0, 2.0, 2), 3, [0.1]).rows[0]
+        expected = [cli._fmt(x) for x in (row.min_signed_norm, row.nj_ratio)]
+        assert printed.split(",")[2:] == expected
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         args = ("sweep", "--vary", "q", "--start", "2.0", "--stop", "4.0",

@@ -23,6 +23,8 @@ from morreykit import (
     sin_power_integral,
     sphere_area,
 )
+from morreykit.constants import _combination_profiles, build_witnesses
+from morreykit.numeric import _BatchObjective
 from morreykit.sampling import random_bounded_profile, random_params
 
 FAST = SearchConfig(center_grid=60, radius_grid=60, quad_points=20)
@@ -376,6 +378,127 @@ class TestMorreyNormsShared:
             morrey_norms_shared([self._profile(1.0, 1.0), other], FAST)
         with pytest.raises(ParameterError):
             morrey_norms_shared([], FAST)
+
+
+def _dense_objective(profiles, quad_points, a, big_r):
+    """Reference for the batched objective: every annulus for every ball,
+    as (balls x K) closed-form interval masses plus dense (balls x K x Q)
+    Gauss-Legendre cap panels, then one matmul with the |coeff|^p columns."""
+    params = profiles[0].params
+    d, p, q, alpha = params.d, params.p, params.q, params.alpha
+    lo = np.array([ann.r_lo for ann, _ in profiles[0].segments])
+    hi = np.array([ann.r_hi for ann, _ in profiles[0].segments])
+    cp = np.abs(np.array([pr.coefficients for pr in profiles]).T) ** p
+
+    def upow(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(x > 0.0, np.exp(alpha * np.log(x)), 0.0)
+
+    def interval(w_lo, w_hi):
+        s_lo = np.maximum(lo[None, :], w_lo[:, None])
+        s_hi = np.minimum(hi[None, :], w_hi[:, None])
+        return np.clip(upow(s_hi) - upow(s_lo), 0.0, None) / alpha
+
+    if d == 1:
+        per_annulus = interval(np.maximum(a - big_r, 0.0), a + big_r) \
+            + interval(np.zeros_like(a), big_r - a)
+    else:
+        u_lo = upow(np.maximum(lo[None, :], np.abs(big_r - a)[:, None]))
+        width = np.clip(upow(np.minimum(hi[None, :], (big_r + a)[:, None])) - u_lo,
+                        0.0, None)
+        active = (width > 0.0) & (a[:, None] > 0.0)
+        nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+        u = u_lo[..., None] + width[..., None] * 0.5 * (nodes + 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = u ** (1.0 / alpha)
+            cos_half = (a[:, None, None] ** 2 + r * r - big_r[:, None, None] ** 2) \
+                / (2.0 * a[:, None, None] * r)
+        cos_half = np.nan_to_num(cos_half, nan=1.0, posinf=1.0, neginf=-1.0)
+        angle = sin_power_integral(d - 2, np.arccos(np.clip(cos_half, -1.0, 1.0)))
+        panel = (angle @ (0.5 * weights)) * width * active
+        per_annulus = sphere_area(d - 1) / alpha * panel + sphere_area(d) \
+            * interval(np.zeros_like(a), np.maximum(big_r - a, 0.0))
+    mass = per_annulus @ cp
+    volume = params.sphere_area / d * big_r ** d
+    with np.errstate(divide="ignore"):
+        value = np.exp((1.0 / q - 1.0 / p) * np.log(volume)[:, None] + np.log(mass) / p)
+    return np.where(mass > 0.0, value, 0.0)
+
+
+def _probe_balls(profile):
+    """Centered balls, balls through the origin, balls whose window ends sit
+    on annulus boundaries, thin off-center balls and balls beyond the
+    support, as (center_dist, radius) arrays."""
+    b = profile.boundaries[profile.boundaries > 0.0]
+    top = b[-1]
+    i, j = np.triu_indices(b.size, 1)
+    keep = slice(None, None, max(1, i.size // 400))
+    lo_end, hi_end = b[i][keep], b[j][keep]
+    mids = np.sqrt(b[:-1] * b[1:])
+    balls = [
+        (np.zeros(b.size + mids.size + 2),
+         np.concatenate([b, mids, [1e-3 * b[0], 2.0 * top]])),
+        (np.concatenate([b, mids, [0.6 * top]]), np.concatenate([b, mids, [0.6 * top]])),
+        (0.5 * (hi_end - lo_end), 0.5 * (hi_end + lo_end)),
+        (0.5 * (hi_end + lo_end), 0.5 * (hi_end - lo_end)),
+        (np.concatenate([b, mids, b]),
+         np.concatenate([1e-3 * b, 1e-3 * mids, 1e-7 * b])),
+        (np.array([3.0 * top, 10.0 * top, 1.5 * top]),
+         np.array([0.5 * top, 1e-3 * top, 0.4 * top])),
+    ]
+    return np.concatenate([x for x, _ in balls]), np.concatenate([y for _, y in balls])
+
+
+def _dyadic_profiles(params, rng, num_annuli=64):
+    """Profiles on the annuli (2^-(k+1), 2^-k), whose boundaries are exact
+    in binary, so window ends computed from them land exactly on them."""
+    annuli = [Annulus(2.0 ** -(k + 1), 2.0 ** -k) for k in range(num_annuli - 1, -1, -1)]
+    coeffs = rng.integers(-3, 4, size=(4, num_annuli)).astype(float)
+    return [PiecewiseRadialPower(params, tuple(zip(annuli, row))) for row in coeffs]
+
+
+def _objective_cases():
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3):
+        params = MorreyParams(1.0, 2.0, d)
+        for n, delta in ((3, 0.1), (7, 0.1), (7, 0.9)):
+            family = build_witnesses(params, n, delta)
+            profiles = [pr for _, pr in _combination_profiles(family)]
+            yield pytest.param(profiles + [family.functions[0]],
+                               id=f"witness-d{d}-n{n}-delta{delta}")
+        yield pytest.param(_dyadic_profiles(params, rng), id=f"dyadic-d{d}")
+    for k in range(12):
+        drawn = random_params(rng)
+        params = MorreyParams(drawn.p, drawn.q, 1 + k % 3)
+        base = random_bounded_profile(params, rng, monotone=bool(k % 2))
+        yield pytest.param([base, base.scale_coefficients(-0.5)],
+                           id=f"random-{k}-d{params.d}")
+
+
+class TestBatchObjective:
+    @pytest.mark.parametrize("profiles", list(_objective_cases()))
+    def test_matches_dense_reference(self, profiles):
+        a, big_r = _probe_balls(profiles[0])
+        got = _BatchObjective(profiles, 20)(a, big_r)
+        ref = _dense_objective(profiles, 20, a, big_r)
+        assert got.shape == ref.shape == (a.size, len(profiles))
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
+    def test_probes_put_window_ends_on_boundaries(self):
+        profile = _dyadic_profiles(MorreyParams(1.0, 2.0, 2), np.random.default_rng(0))[0]
+        a, big_r = _probe_balls(profile)
+        w_lo, w_hi = np.abs(big_r - a), big_r + a
+        b = profile.boundaries
+        exact = np.isin(w_lo, b) & np.isin(w_hi, b) & (w_lo < w_hi) & (a > 0.0)
+        # both with a full-sphere part below the window (R > a) and without
+        assert np.sum(exact & (big_r > a)) >= 100
+        assert np.sum(exact & (big_r < a)) >= 100
+
+    def test_keeps_attributes_read_by_tracers(self):
+        objective = _BatchObjective([PiecewiseRadialPower.power_restriction(
+            MorreyParams(1.0, 2.0, 2), 0.5, 1.0)], 7)
+        assert (objective.lo.size, objective.nodes.size, objective.d) == (1, 7, 2)
 
 
 def test_search_config_validation():
