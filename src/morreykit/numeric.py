@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, sparse, special
 
 from .core import (
     Ball,
@@ -268,6 +268,15 @@ def monotone_profile_check(profile: PiecewiseRadialPower) -> bool:
 # --- vectorized objective over batches of balls -----------------------------
 
 
+#: Balls per block of _BatchObjective.__call__, and (pair, node) panel
+#: points per cap-angle block.  A block's temporaries then stay near 140 kB
+#: (1024 balls x 17 profiles) and 56 kB, small enough to stay in cache and to
+#: come back from the heap on the next block rather than being mapped and
+#: faulted in afresh, and trimmed again, by every call.
+_BALL_BLOCK = 1024
+_PANEL_BLOCK = 7168
+
+
 class _BatchObjective:
     """Morrey quantities of several profiles on arrays of (center_dist,
     radius) pairs.
@@ -285,10 +294,13 @@ class _BatchObjective:
     substitution), and a segment sum scatters pair masses times |coeff|^p
     back to the balls.  So a ball costs O(P) plus its active pairs.  For
     d = 1 the folded interval (a - R, a + R) is twice the full part plus
-    the window, whose cap factor is exactly 1.  Accuracy only has to be
-    good enough to find the right ball: the search re-scores each winner
-    with the adaptive integral and reports abs_uncertainty = max(|batched
-    value - rescored value|, 1e-9 * value).
+    the window, whose cap factor is exactly 1.  Calls are scored in blocks
+    of _BALL_BLOCK balls and cap panels in blocks of _PANEL_BLOCK points,
+    with a block's arrays updated in place, and every sum runs in a fixed
+    order, so a ball's value does not depend on the call or block it comes
+    in.  Accuracy only has to be good enough to find the right ball: the
+    search re-scores each winner with the adaptive integral and reports
+    abs_uncertainty = max(|batched value - rescored value|, 1e-9 * value).
     """
 
     def __init__(self, profiles, quad_points: int):
@@ -301,7 +313,8 @@ class _BatchObjective:
                for profile in profiles):
             raise ParameterError("batched profiles must share params and annuli")
         self.lo, self.hi, _ = _segment_arrays(profiles[0])
-        self.cp = np.abs(np.array([pr.coefficients for pr in profiles]).T) ** params.p
+        self.cp = np.ascontiguousarray(
+            np.abs(np.array([pr.coefficients for pr in profiles]).T) ** params.p)
         self.vol_coeff = params.sphere_area / self.d
         nodes, weights = np.polynomial.legendre.leggauss(quad_points)
         self.nodes = 0.5 * (nodes + 1.0)
@@ -322,21 +335,35 @@ class _BatchObjective:
         """(balls x P) array of Morrey quantities, 0 where a ball has no mass."""
         a = np.atleast_1d(np.asarray(center, dtype=float))
         big_r = np.atleast_1d(np.asarray(radius, dtype=float))
-        mass = self.full_factor * self._full_mass(np.maximum(big_r - a, 0.0)) \
-            + self._window_mass(a, big_r)
+        out = np.empty((a.size, self.cp.shape[1]))
+        for start in range(0, a.size, _BALL_BLOCK):
+            block = slice(start, start + _BALL_BLOCK)
+            out[block] = self._values(a[block], big_r[block])
+        return out
+
+    def _values(self, a, big_r):
+        """__call__ on one block of balls."""
+        value = self._full_mass(np.maximum(big_r - a, 0.0))
+        value *= self.full_factor
+        value += self._window_mass(a, big_r)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_ball = np.log(self.vol_coeff) + self.d * np.log(big_r)
-            log_val = (1.0 / self.q - 1.0 / self.p) * log_ball[:, None] \
-                + np.log(mass) / self.p
-            value = np.exp(log_val)
-        return np.where(np.isfinite(value), value, 0.0)
+            np.log(value, out=value)
+            value /= self.p
+            value += ((1.0 / self.q - 1.0 / self.p) * log_ball)[:, None]
+            np.exp(value, out=value)
+        value[~np.isfinite(value)] = 0.0
+        return value
 
     def _full_mass(self, t):
         """(balls x P) power integrals over (0, t): the prefix row of the
         annuli wholly below t plus the part of the next annulus below t."""
         j = np.searchsorted(self.hi, t, side="right")
         partial = np.clip(_log_pow(t, self.alpha) - self.u_lo_ext[j], 0.0, None)
-        return self.prefix[j] + self.cp_ext[j] * (partial / self.alpha)[:, None]
+        out = self.cp_ext[j]
+        out *= (partial / self.alpha)[:, None]
+        out += self.prefix[j]
+        return out
 
     def _window_mass(self, a, big_r):
         """(balls x P) masses inside each ball's window (|R - a|, R + a),
@@ -345,34 +372,47 @@ class _BatchObjective:
         first = np.searchsorted(self.hi, w_lo, side="right")
         counts = np.where(w_hi > w_lo,
                           np.searchsorted(self.lo, w_hi, side="left") - first, 0)
-        starts = np.cumsum(counts) - counts
+        indptr = np.concatenate(([0], np.cumsum(counts)))
         ball = np.repeat(np.arange(a.size), counts)
-        ann = np.arange(ball.size) - starts[ball] + first[ball]
+        ann = np.arange(ball.size) - indptr[ball] + first[ball]
         s_lo = np.maximum(self.lo[ann], w_lo[ball])
         s_hi = np.minimum(self.hi[ann], w_hi[ball])
         u_lo = _log_pow(s_lo, self.alpha)
         width = np.clip(_log_pow(s_hi, self.alpha) - u_lo, 0.0, None)
         if self.d >= 2:
-            width = width * self._cap_angle(u_lo, width, a[ball], big_r[ball])
-        out = np.zeros((a.size, self.cp.shape[1]))
-        nonempty = counts > 0
-        out[nonempty] = np.add.reduceat(
-            (self.cap_factor * width)[:, None] * self.cp[ann], starts[nonempty], axis=0
-        )
-        return out
+            angle = np.empty(ball.size)
+            step = max(1, _PANEL_BLOCK // self.nodes.size)
+            for start in range(0, ball.size, step):
+                part = slice(start, start + step)
+                angle[part] = self._cap_angle(u_lo[part], width[part],
+                                              a[ball[part]], big_r[ball[part]])
+            width = width * angle
+        # Row i of this (balls x K) CSR matrix holds ball i's pair masses;
+        # its product with the |coeff|^p columns sums each row in pair order.
+        pairs = sparse.csr_array((self.cap_factor * width, ann, indptr),
+                                 shape=(a.size, self.lo.size))
+        return pairs @ self.cp
 
     def _cap_angle(self, u_lo, width, a, big_r):
         """Mean cap-angle factor over each pair's u-panel, by Gauss-Legendre."""
-        u = u_lo[:, None] + width[:, None] * self.nodes  # (pairs, Q)
+        r = width[:, None] * self.nodes  # (pairs, Q), updated in place
+        r += u_lo[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = u ** (1.0 / self.alpha)
-            cos_half = (a[:, None] ** 2 + r * r - big_r[:, None] ** 2) \
-                / (2.0 * a[:, None] * r)
+            r **= 1.0 / self.alpha
+            cos_half = r * r
+            cos_half += (a * a)[:, None]
+            cos_half -= (big_r * big_r)[:, None]
+            r *= (2.0 * a)[:, None]
+            cos_half /= r
         # Zero-width panels can produce 0/0 above; any value works there
-        # because the panel weight is zero.
-        cos_half = np.nan_to_num(cos_half, nan=1.0, posinf=1.0, neginf=-1.0)
-        theta = np.arccos(np.clip(cos_half, -1.0, 1.0))
-        return sin_power_integral(self.d - 2, theta) @ self.weights
+        # because the panel weight is zero.  fmin maps NaN to 1, and with
+        # fmax it clips to [-1, 1].
+        np.fmin(cos_half, 1.0, out=cos_half)
+        np.fmax(cos_half, -1.0, out=cos_half)
+        theta = np.arccos(cos_half, out=cos_half)
+        # einsum, not a BLAS matvec: each row's sum has one fixed order, so a
+        # pair's factor does not depend on the block it is scored in.
+        return np.einsum("ij,j->i", sin_power_integral(self.d - 2, theta), self.weights)
 
 
 def _radius_grid(profile: PiecewiseRadialPower, cfg: SearchConfig) -> np.ndarray:

@@ -24,7 +24,7 @@ from morreykit import (
     sphere_area,
 )
 from morreykit.constants import _combination_profiles, build_witnesses
-from morreykit.numeric import _BatchObjective
+from morreykit.numeric import _BALL_BLOCK, _BatchObjective
 from morreykit.sampling import random_bounded_profile, random_params
 
 FAST = SearchConfig(center_grid=60, radius_grid=60, quad_points=20)
@@ -484,6 +484,19 @@ class TestBatchObjective:
         assert got.shape == ref.shape == (a.size, len(profiles))
         assert np.array_equal(got == 0.0, ref == 0.0)
         assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
+    @pytest.mark.parametrize("profiles", list(_objective_cases()))
+    def test_value_does_not_depend_on_call_or_block(self, profiles):
+        a, big_r = _probe_balls(profiles[0])
+        # The probes repeated and shuffled into calls of several blocks.
+        size = 2 * _BALL_BLOCK + 500
+        order = np.random.default_rng(5).permutation(np.resize(np.arange(a.size), size))
+        a, big_r = a[order], big_r[order]
+        objective = _BatchObjective(profiles, 20)
+        whole = objective(a, big_r)
+        cuts = [0, 1, 8, 300, _BALL_BLOCK + 300, size]
+        parts = [objective(a[i:j], big_r[i:j]) for i, j in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(parts), whole)
 
     def test_probes_put_window_ends_on_boundaries(self):
         profile = _dyadic_profiles(MorreyParams(1.0, 2.0, 2), np.random.default_rng(0))[0]
