@@ -5,8 +5,11 @@ Everything here reduces to the radial primitive
     int_(lo,hi) |x|^(-d p / q) dx = omega * (hi^alpha - lo^alpha) / alpha,
 
 with alpha = d - d p/q > 0, combined with the ball-volume weight
-|B(0,r)|^(1/q - 1/p).  Powers are taken in the log domain so that very thin
-or very deep annuli keep full relative precision.
+|B(0,r)|^(1/q - 1/p): shell_integral and morrey_quantity are the two
+scalar kernels, and the numeric module uses them too.  Powers are taken in
+the log domain so that very thin or very deep annuli keep full relative
+precision.  The centered supremum needs no search: the centered quantity is
+monotone between annulus boundaries (see centered_norm).
 """
 
 import math
@@ -22,9 +25,6 @@ from .core import (
     epsilon_upper_bound_raw,
     log_domain_pow,
 )
-
-_GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def power_norm_exact(params: MorreyParams) -> float:
     """Norm of the pure power |x|^(-d/q): (omega/d)^(1/q) * (q/(q-p))^(1/p).
@@ -45,14 +45,27 @@ def _log_power_diff(alpha: float, lo: float, hi: float) -> float:
     return alpha * math.log(hi) + math.log(-math.expm1(alpha * math.log(lo / hi)))
 
 
+def shell_integral(params: MorreyParams, lo: float, hi: float) -> float:
+    """int over lo < |x| < hi of |x|^(-d p/q) dx; 0 when hi <= lo."""
+    if hi <= lo:
+        return 0.0
+    alpha = params.alpha
+    return math.exp(math.log(params.sphere_area / alpha) + _log_power_diff(alpha, lo, hi))
+
+
+def morrey_quantity(params: MorreyParams, radius: float, mass: float) -> float:
+    """|B(radius)|^(1/q - 1/p) * mass^(1/p) for a ball of the given radius
+    holding the given p-integral; mass must be positive."""
+    p, q, d = params.p, params.q, params.d
+    log_ball = math.log(params.sphere_area / d) + d * math.log(radius)
+    return math.exp((1.0 / q - 1.0 / p) * log_ball + math.log(mass) / p)
+
+
 def annulus_p_integral(params: MorreyParams, ann: Annulus) -> float:
     """int over the annulus of |x|^(-d p/q) dx."""
     if not ann.bounded:
         raise ParameterError("the p-integral diverges on an unbounded annulus")
-    alpha = params.alpha
-    return math.exp(
-        math.log(params.sphere_area / alpha) + _log_power_diff(alpha, ann.r_lo, ann.r_hi)
-    )
+    return shell_integral(params, ann.r_lo, ann.r_hi)
 
 
 def local_quantity(params: MorreyParams, ball_radius: float, ann: Annulus) -> float:
@@ -66,13 +79,7 @@ def local_quantity(params: MorreyParams, ball_radius: float, ann: Annulus) -> fl
         raise ParameterError(f"ball_radius must be positive and finite, got {ball_radius}")
     if not ann.bounded:
         raise ParameterError("annulus must be bounded")
-    p, q, d = params.p, params.q, params.d
-    alpha = params.alpha
-    log_ball = math.log(params.sphere_area / d) + d * math.log(ball_radius)
-    log_integral = math.log(params.sphere_area / alpha) + _log_power_diff(
-        alpha, ann.r_lo, ann.r_hi
-    )
-    return math.exp((1.0 / q - 1.0 / p) * log_ball + log_integral / p)
+    return morrey_quantity(params, ball_radius, shell_integral(params, ann.r_lo, ann.r_hi))
 
 
 def epsilon_upper_bound(params: MorreyParams, delta: float) -> float:
@@ -101,51 +108,28 @@ def chunk_lower_bound(params: MorreyParams, epsilon: float) -> float:
 def _centered_value(profile: PiecewiseRadialPower, r: float) -> float:
     """Centered-ball quantity at radius r for a bounded profile."""
     params = profile.params
-    p, q = params.p, params.q
-    alpha = params.alpha
-    omega = params.sphere_area
     mass = 0.0
     for ann, coeff in profile.segments:
         if coeff == 0.0 or r <= ann.r_lo:
             continue
-        hi = min(r, ann.r_hi)
-        mass += abs(coeff) ** p * math.exp(
-            math.log(omega / alpha) + _log_power_diff(alpha, ann.r_lo, hi)
-        )
-    if mass == 0.0:
-        return 0.0
-    log_ball = math.log(omega / params.d) + params.d * math.log(r)
-    return math.exp((1.0 / q - 1.0 / p) * log_ball + math.log(mass) / p)
-
-
-def _golden_max(f, lo: float, hi: float, rel_tol: float = 1e-12):
-    """Golden-section maximization on [lo, hi]; returns (argmax, max)."""
-    a, b = lo, hi
-    h = b - a
-    c = b - _GOLDEN_RATIO_CONJ * h
-    d = a + _GOLDEN_RATIO_CONJ * h
-    fc, fd = f(c), f(d)
-    while h > rel_tol * max(abs(a), abs(b)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _GOLDEN_RATIO_CONJ * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _GOLDEN_RATIO_CONJ * h
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+        mass += abs(coeff) ** params.p * shell_integral(params, ann.r_lo, min(r, ann.r_hi))
+    return morrey_quantity(params, r, mass) if mass > 0.0 else 0.0
 
 
 def centered_norm(profile: PiecewiseRadialPower) -> NormReport:
-    """Supremum of the centered-ball quantity over all radii.
+    """Supremum of the centered-ball quantity Q(r) over all radii.
 
-    The objective is smooth between annulus boundaries, so each bracket is
-    maximized by golden section and every boundary is evaluated explicitly.
-    Beyond the support the objective decays like r^(d(1/q-1/p)); the search
-    cap at ten times the outer support radius is therefore free slack.
+    Between two consecutive annulus boundaries the centered mass is
+    M(r) = A + B r^alpha with B >= 0 (A of either sign), and
+    alpha = d p (1/p - 1/q) gives
+
+        d/dr log Q(r) = -d (1/p - 1/q) A / (r M(r)),
+
+    whose sign does not change on the bracket.  So Q is monotone between
+    boundaries (constant below the smallest positive one, decreasing beyond
+    the support), and its supremum is its largest value at a positive
+    boundary.  Those are evaluated in order and the first strict maximum is
+    kept; abs_uncertainty allows 4e-12 relative for rounding.
     """
     if profile.is_pure_power:
         value = power_norm_exact(profile.params)
@@ -156,24 +140,13 @@ def centered_norm(profile: PiecewiseRadialPower) -> NormReport:
             abs_uncertainty=0.0,
         )
 
-    # Below the smallest positive boundary the objective is constant (only a
-    # zero-based segment can contribute, and its restriction quantity does
-    # not depend on r), so the bracket list can start there.
-    breakpoints = [b for b in profile.boundaries if b > 0.0]
-    breakpoints.append(10.0 * profile.support_radius)
-
-    objective = lambda r: _centered_value(profile, r)
-    best_r, best_v = breakpoints[0], objective(breakpoints[0])
-    for lo, hi in zip(breakpoints, breakpoints[1:]):
-        if not hi > lo:
-            continue
-        for r, v in (_golden_max(objective, lo, hi), (hi, objective(hi))):
-            if v > best_v:
-                best_r, best_v = r, v
-
+    # max keeps the first of tied radii
+    radius = max((float(b) for b in profile.boundaries if b > 0.0),
+                 key=lambda r: _centered_value(profile, r))
+    value = _centered_value(profile, radius)
     return NormReport(
-        value=best_v,
-        argmax_ball=Ball(0.0, best_r),
+        value=value,
+        argmax_ball=Ball(0.0, radius),
         method=NormMethod.CENTERED_SEARCH,
-        abs_uncertainty=4.0 * best_v * 1e-12,
+        abs_uncertainty=4.0 * value * 1e-12,
     )

@@ -344,18 +344,6 @@ def estimate_constants(params: MorreyParams, n: int, delta_sequence,
                            von_neumann_jordan=nj)
 
 
-def james_lower_bound(params: MorreyParams, n: int, delta_sequence,
-                      cfg: SearchConfig = WITNESS_SEARCH) -> ConstantEstimate:
-    """Sup of the per-delta minimum signed norms; tends to n as delta -> 0."""
-    return estimate_constants(params, n, delta_sequence, cfg).james
-
-
-def nj_lower_bound(params: MorreyParams, n: int, delta_sequence,
-                   cfg: SearchConfig = WITNESS_SEARCH) -> ConstantEstimate:
-    """Sup of the quadratic sign-sum ratio over the same witness ladder."""
-    return estimate_constants(params, n, delta_sequence, cfg).von_neumann_jordan
-
-
 def _tuple_signed_norms(vectors: FiniteVectorTuple) -> np.ndarray:
     matrix = sign_matrix(vectors.n)
     combos = matrix.entries.astype(float).T @ vectors.vectors

@@ -15,12 +15,12 @@ factor needs quadrature.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, sparse, special
 
+from .closedform import centered_norm, morrey_quantity, shell_integral
 from .core import (
     Ball,
     NormMethod,
@@ -106,15 +106,6 @@ def _log_pow(x, a_exp):
     return np.where(x > 0.0, out, 0.0)
 
 
-def _alpha_diff(lo: float, hi: float, alpha: float) -> float:
-    """hi^alpha - lo^alpha without cancellation for thin windows."""
-    if hi <= lo:
-        return 0.0
-    if lo == 0.0:
-        return math.exp(alpha * math.log(hi))
-    return -math.exp(alpha * math.log(hi)) * math.expm1(alpha * math.log(lo / hi))
-
-
 def _segment_arrays(profile: PiecewiseRadialPower):
     lo = np.array([ann.r_lo for ann, _ in profile.segments])
     hi = np.array([ann.r_hi for ann, _ in profile.segments])
@@ -126,67 +117,59 @@ def ball_p_integral(profile: PiecewiseRadialPower, ball: Ball,
                     cfg: SearchConfig = DEFAULT_SEARCH) -> float:
     """int over the ball of |profile|^p, to near machine accuracy.
 
-    The full-sphere region is handled by the closed-form annulus primitive.
-    On the cap region the substitution u = r^alpha turns the radial power
-    into du, leaving the bounded cap-angle factor as the only integrand for
-    adaptive quadrature.
+    Below max(R - a, 0) every sphere lies wholly inside the ball, so that
+    part is the closed-form shell integral.  Above it, in the window
+    (|R - a|, R + a), only a cap of each sphere does.  For d = 1 the cap is
+    one of the two points {-r, +r}, half the shell.  For d >= 2 the
+    substitution u = r^alpha turns the radial power into du, leaving the
+    bounded cap-angle factor as the only integrand for adaptive quadrature.
     """
     params = profile.params
-    p, q, d = params.p, params.q, params.d
-    alpha = params.alpha
+    d, alpha = params.d, params.alpha
     a, big_r = ball.center_dist, ball.radius
     lo, hi, cp = _segment_arrays(profile)
-    hi = np.minimum(hi, a + big_r)  # nothing beyond the ball matters
-
-    if d == 1:
-        total = 0.0
-        for lo_k, hi_k, cp_k in zip(lo, hi, cp):
-            if cp_k == 0.0:
-                continue
-            for w_lo, w_hi in ((max(a - big_r, 0.0), a + big_r), (0.0, big_r - a)):
-                s_lo, s_hi = max(lo_k, w_lo), min(hi_k, w_hi)
-                total += cp_k * _alpha_diff(s_lo, s_hi, alpha) / alpha
-        return float(total)
-
-    omega_full = sphere_area(d)
-    omega_cap = sphere_area(d - 1)
     full_hi = max(big_r - a, 0.0)
     cap_lo, cap_hi = abs(big_r - a), a + big_r
+    omega_cap = sphere_area(d - 1) if d >= 2 else 0.0
     total = 0.0
     for lo_k, hi_k, cp_k in zip(lo, hi, cp):
-        if cp_k == 0.0 or hi_k <= lo_k:
+        if cp_k == 0.0:
             continue
-        total += cp_k * omega_full * _alpha_diff(lo_k, min(hi_k, full_hi), alpha) / alpha
+        total += cp_k * shell_integral(params, lo_k, min(hi_k, full_hi))
         s_lo, s_hi = max(lo_k, cap_lo), min(hi_k, cap_hi)
-        if s_hi > s_lo and a > 0.0:
-            u_lo = float(_log_pow(s_lo, alpha))
-            u_hi = float(_log_pow(s_hi, alpha))
+        if not s_hi > s_lo:
+            continue
+        if d == 1:
+            total += 0.5 * cp_k * shell_integral(params, s_lo, s_hi)
+            continue
+        u_lo = float(_log_pow(s_lo, alpha))
+        u_hi = float(_log_pow(s_hi, alpha))
 
-            def cap_angle(u):
-                r = u ** (1.0 / alpha)
-                cos_half = (a * a + r * r - big_r * big_r) / (2.0 * a * r)
-                return float(
-                    sin_power_integral(d - 2, math.acos(min(1.0, max(-1.0, cos_half))))
-                )
+        def cap_angle(u):
+            r = u ** (1.0 / alpha)
+            cos_half = (a * a + r * r - big_r * big_r) / (2.0 * a * r)
+            return float(
+                sin_power_integral(d - 2, math.acos(min(1.0, max(-1.0, cos_half))))
+            )
 
-            width = u_hi - u_lo
-            if width <= 0.0:
-                continue
-            if width < 1e-12 * u_hi:
-                # Near-centered balls shrink the cap region to a sliver at
-                # the float resolution limit, where adaptive subdivision is
-                # impossible; the midpoint rule is exact to within the
-                # sliver's own (negligible) weight.
-                val = width * cap_angle(0.5 * (u_lo + u_hi))
-            else:
-                res = integrate.quad(
-                    cap_angle, u_lo, u_hi, epsabs=1e-13, epsrel=1e-11,
-                    limit=200, full_output=True,
-                )
-                if len(res) > 3:  # quad appends an explanation on failure
-                    raise NumericalFailure("cap-region quadrature did not converge")
-                val = res[0]
-            total += cp_k * omega_cap * val / alpha
+        width = u_hi - u_lo
+        if width <= 0.0:
+            continue
+        if width < 1e-12 * u_hi:
+            # Near-centered balls shrink the cap region to a sliver at
+            # the float resolution limit, where adaptive subdivision is
+            # impossible; the midpoint rule is exact to within the
+            # sliver's own (negligible) weight.
+            val = width * cap_angle(0.5 * (u_lo + u_hi))
+        else:
+            res = integrate.quad(
+                cap_angle, u_lo, u_hi, epsabs=1e-13, epsrel=1e-11,
+                limit=200, full_output=True,
+            )
+            if len(res) > 3:  # quad appends an explanation on failure
+                raise NumericalFailure("cap-region quadrature did not converge")
+            val = res[0]
+        total += cp_k * omega_cap * val / alpha
     return float(total)
 
 
@@ -194,8 +177,9 @@ def ball_p_integral_mc(profile: PiecewiseRadialPower, ball: Ball,
                        cfg: SearchConfig = DEFAULT_SEARCH):
     """Monte Carlo estimate of the ball p-integral; returns (value, std_error).
 
-    Samples are uniform in the ball; worker streams are spawned from the
-    seed so the result is reproducible for a fixed seed and worker count.
+    Samples are uniform in the ball, drawn one after another in
+    thread_count() streams spawned from the seed, so the result is
+    reproducible for a fixed seed and stream count.
     """
     params = profile.params
     d = params.d
@@ -204,29 +188,25 @@ def ball_p_integral_mc(profile: PiecewiseRadialPower, ball: Ball,
     exponent = -d * params.p / params.q
     volume = params.ball_volume(big_r)
 
-    workers = thread_count()
-    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(workers)
-    per_worker = int(math.ceil(cfg.mc_samples / workers))
+    streams = thread_count()
+    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(streams)
+    per_stream = int(math.ceil(cfg.mc_samples / streams))
 
     def run(seed):
         rng = np.random.default_rng(seed)
-        direction = rng.normal(size=(per_worker, d))
+        direction = rng.normal(size=(per_stream, d))
         direction /= np.linalg.norm(direction, axis=1)[:, None]
-        pts = direction * (big_r * rng.random(per_worker) ** (1.0 / d))[:, None]
+        pts = direction * (big_r * rng.random(per_stream) ** (1.0 / d))[:, None]
         pts[:, 0] += a
         r = np.linalg.norm(pts, axis=1)
-        vals = np.zeros(per_worker)
+        vals = np.zeros(per_stream)
         for lo_k, hi_k, cp_k in zip(lo, hi, cp):
             mask = (r > lo_k) & (r < hi_k)
             if cp_k != 0.0 and mask.any():
                 vals[mask] = cp_k * r[mask] ** exponent
         return vals
 
-    if workers == 1:
-        samples = run(seeds[0])
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = np.concatenate(list(pool.map(run, seeds)))
+    samples = np.concatenate([run(seed) for seed in seeds])
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(samples.size))
     return volume * mean, volume * stderr
@@ -433,29 +413,15 @@ def _center_grid(profile: PiecewiseRadialPower, cfg: SearchConfig) -> np.ndarray
     return np.unique(np.concatenate([lin, log, np.asarray(bounds, dtype=float)]))
 
 
-def _pure_power_reports(profiles) -> list:
-    objective = _BatchObjective(profiles, 4)
-    radii = np.array([0.25, 1.0, 7.5])
-    vals = objective(np.zeros_like(radii), radii)[:, 0]
-    spread = float(vals.max() - vals.min())
-    report = NormReport(
-        value=float(vals.max()),
-        argmax_ball=Ball(0.0, float(radii[int(np.argmax(vals))])),
-        method=NormMethod.CENTERED_SEARCH,
-        abs_uncertainty=max(spread, float(vals.max()) * 1e-14),
-    )
-    return [report] * len(profiles)
-
-
 def morrey_norm_numeric(profile: PiecewiseRadialPower,
                         cfg: SearchConfig = DEFAULT_SEARCH) -> NormReport:
     """Supremum search over center distance and radius.
 
-    This is morrey_norms_shared on the single profile: a multiscale grid
-    (dense centered sweep plus an off-center lattice, both augmented with
-    every annulus boundary), a compass refinement of the best grid ball, and
-    an adaptive re-score of the winner.  abs_uncertainty is
-    max(|batched value - rescored value|, 1e-9 * value).
+    This is morrey_norms_shared on the single profile: a multiscale grid of
+    centers and radii, both augmented with every annulus boundary, a compass
+    refinement of the best grid ball, and an adaptive re-score of the
+    winner.  abs_uncertainty is max(|batched value - rescored value|,
+    1e-9 * value).  The pure power gets its closed form.
     """
     return morrey_norms_shared([profile], cfg)[0]
 
@@ -465,36 +431,33 @@ def morrey_norms_shared(profiles, cfg: SearchConfig = DEFAULT_SEARCH) -> list:
     grid pass; returns one NormReport per profile, in order.
 
     Every grid ball is scored for all profiles at once (see _BatchObjective).
-    Each profile keeps its own best ball, which _refine improves in batched
-    rounds; the grid ball and the refined ball are re-scored with the
-    adaptive integral, the larger value wins and is checked for a supremum
-    beyond the radius grid.  abs_uncertainty is max(|batched value -
-    rescored value|, 1e-9 * value).
+    The center grid starts at 0 and the radius grid holds every annulus
+    boundary, so the grid holds the centered ball at every boundary, where
+    the centered supremum sits (see closedform.centered_norm); no separate
+    centered sweep is needed.  Each profile keeps its own best ball, which
+    _refine improves in batched rounds; the grid ball and the refined ball
+    are re-scored with the adaptive integral, the larger value wins and is
+    checked for a supremum beyond the radius grid.  abs_uncertainty is
+    max(|batched value - rescored value|, 1e-9 * value).
+
+    The pure power's single annulus forces the unit coefficient, so every
+    profile sharing it is the pure power, whose closed-form norm
+    (closedform.centered_norm) is returned for each.
     """
     profiles = list(profiles)
     if not profiles:
         raise ParameterError("need at least one profile")
     if profiles[0].is_pure_power:
-        # The off-center supremum coincides with the centered one here, and
-        # the centered quantity does not depend on the radius.  The pure
-        # power's single annulus forces the unit coefficient, so every
-        # profile sharing it is the pure power too.
-        return _pure_power_reports(profiles)
+        return [centered_norm(profiles[0])] * len(profiles)
 
     objective = _BatchObjective(profiles, cfg.quad_points)
     radii = _radius_grid(profiles[0], cfg)
     centers = _center_grid(profiles[0], cfg)
     columns = np.arange(len(profiles))
 
-    # Dense centered sweep: closed-form per ball, so extra resolution is free.
-    dense_r = np.unique(np.concatenate([radii, np.geomspace(
-        radii[0], radii[-1], 4 * cfg.radius_grid)]))
-    cen_vals = objective(np.zeros_like(dense_r), dense_r)
-    idx = np.argmax(cen_vals, axis=0)
     best_a = np.zeros(len(profiles))
-    best_r = dense_r[idx]
-    best_v = cen_vals[idx, columns]
-
+    best_r = np.zeros(len(profiles))
+    best_v = np.full(len(profiles), -np.inf)
     aa, rr = np.meshgrid(centers, radii, indexing="ij")
     aa, rr = aa.ravel(), rr.ravel()
     chunk = 8192
@@ -580,14 +543,7 @@ def _rescored_report(objective, column, profile, candidates, cfg) -> NormReport:
 def _rescore(profile, ball, cfg) -> float:
     """The Morrey quantity of one ball, with the adaptive integral."""
     mass = ball_p_integral(profile, ball, cfg)
-    if mass <= 0.0:
-        return 0.0
-    params = profile.params
-    log_ball = math.log(params.sphere_area / params.d) \
-        + params.d * math.log(ball.radius)
-    return math.exp(
-        (1.0 / params.q - 1.0 / params.p) * log_ball + math.log(mass) / params.p
-    )
+    return morrey_quantity(profile.params, ball.radius, mass) if mass > 0.0 else 0.0
 
 
 def _check_divergence(objective, column, profile, ball, value):

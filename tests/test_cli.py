@@ -44,6 +44,14 @@ class TestNorm:
         assert pairs["method"] == "closed_form"
         assert float(pairs["abs_uncertainty"]) == 0.0
 
+    def test_pure_power_numeric_is_closed_form(self, capsys, pure_power_doc):
+        code, out, _ = run(capsys, "norm", pure_power_doc, "--method", "numeric")
+        assert code == 0
+        pairs = parse_kv(out)
+        assert math.isclose(float(pairs["value"]), 2.828427, rel_tol=1e-5)
+        assert pairs["method"] == "closed_form"
+        assert float(pairs["abs_uncertainty"]) == 0.0
+
     def test_both_methods_agree(self, capsys, annulus_doc):
         code, out, _ = run(capsys, "norm", annulus_doc)
         assert code == 0

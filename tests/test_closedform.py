@@ -20,6 +20,7 @@ from morreykit import (
     power_norm_exact,
     sphere_area,
 )
+from morreykit.closedform import _centered_value
 from morreykit.sampling import random_bounded_profile, random_params
 
 
@@ -271,3 +272,54 @@ class TestCenteredNorm:
                     chunk = PiecewiseRadialPower.annular_chunk(params, eps, k)
                     assert centered_norm(chunk).value >= \
                         chunk_lower_bound(params, eps) - 1e-9
+
+
+def gapped_profile(rng):
+    """Random profile for d = 1..5: up to 12 segments, mixed signs, zero
+    coefficients, gaps between segments, support from 0 or from a hole."""
+    params = random_params(rng, d_max=5)
+    count = int(rng.integers(1, 13))
+    cuts = np.sort(np.exp(rng.uniform(math.log(1e-3), math.log(3.0), 2 * count)))
+    if rng.random() < 0.3:
+        cuts[0] = 0.0
+    segments = []
+    for k in range(count):
+        lo, hi = float(cuts[2 * k]), float(cuts[2 * k + 1])
+        if rng.random() < 0.5 and k + 1 < count:
+            hi = float(cuts[2 * k + 2])  # no gap to the next segment
+        coeff = 0.0 if rng.random() < 0.1 else float(rng.normal(scale=1.5))
+        if hi > lo:
+            segments.append((Annulus(lo, hi), coeff))
+    return PiecewiseRadialPower(params, tuple(segments))
+
+
+class TestCenteredBoundaryMaximum:
+    """The centered quantity is monotone between annulus boundaries, so its
+    supremum is its largest value at a positive boundary."""
+
+    profiles = [gapped_profile(np.random.default_rng(seed)) for seed in range(60)]
+
+    @pytest.mark.parametrize("index", range(len(profiles)))
+    def test_dominates_dense_sweep(self, index):
+        profile = self.profiles[index]
+        report = centered_norm(profile)
+        bounds = [float(b) for b in profile.boundaries if b > 0.0]
+        radii = np.concatenate([
+            np.geomspace(1e-3 * bounds[0], 10.0 * profile.support_radius, 2000),
+            bounds,
+        ])
+        sweep = max(_centered_value(profile, float(r)) for r in radii)
+        # slack for rounding only: the sweep holds no radius that can beat
+        # the boundaries by more than a few ulps
+        assert report.value >= sweep * (1.0 - 1e-14)
+
+    @pytest.mark.parametrize("index", range(len(profiles)))
+    def test_equals_boundary_maximum(self, index):
+        profile = self.profiles[index]
+        report = centered_norm(profile)
+        values = [(_centered_value(profile, float(b)), float(b))
+                  for b in profile.boundaries if b > 0.0]
+        best = max(v for v, _ in values)
+        assert report.value == best
+        assert report.argmax_ball.center_dist == 0.0
+        assert report.argmax_ball.radius == next(r for v, r in values if v == best)

@@ -16,10 +16,8 @@ from morreykit import (
     combination_coefficients,
     epsilon_upper_bound,
     j_nj_inequality_check,
-    james_lower_bound,
     min_signed_norm,
     morrey_norm_numeric,
-    nj_lower_bound,
     nj_ratio,
     power_norm_exact,
     sign_matrix,
@@ -162,7 +160,7 @@ class TestMinSignedNorm:
             values.append(min_signed_norm(family).min_over_patterns)
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
+    def test_threads_env_leaves_norms_unchanged(self, monkeypatch):
         family = build_witnesses(P121, 3, 0.1)
         serial = min_signed_norm(family)
         monkeypatch.setenv("MORREYKIT_THREADS", "3")
@@ -216,25 +214,25 @@ class TestVerifyNonEll1n:
 
 class TestJamesLowerBound:
     def test_ladder_reaches_2_97(self):
-        estimate = james_lower_bound(P121, 3, [0.3, 0.1, 0.01])
+        estimate = estimate_constants(P121, 3, [0.3, 0.1, 0.01]).james
         assert estimate.lower_bound >= 2.97
         assert estimate.lower_bound <= 3.0
         assert estimate.kind == "james"
 
     def test_n2_classical(self):
-        estimate = james_lower_bound(P121, 2, [0.1, 0.01])
+        estimate = estimate_constants(P121, 2, [0.1, 0.01]).james
         assert estimate.lower_bound >= 2 * 0.99
         assert estimate.lower_bound <= 2.0
 
     def test_sequence_validation(self):
         with pytest.raises(ParameterError):
-            james_lower_bound(P121, 3, [])
+            estimate_constants(P121, 3, [])
         with pytest.raises(ParameterError):
-            james_lower_bound(P121, 3, [0.1, 0.1])
+            estimate_constants(P121, 3, [0.1, 0.1])
         with pytest.raises(ParameterError):
-            james_lower_bound(P121, 3, [0.1, 0.3])
+            estimate_constants(P121, 3, [0.1, 0.3])
         with pytest.raises(ParameterError):
-            james_lower_bound(P121, 3, [1.2, 0.1])
+            estimate_constants(P121, 3, [1.2, 0.1])
 
 
 class TestNjRatio:
@@ -323,8 +321,8 @@ class TestConstantsLadder:
         for row in ladder.rows:
             assert row.min_signed_norm >= row.theoretical_lower_bound * (1 - 1e-9)
 
-    def test_nj_lower_bound_wrapper(self):
-        estimate = nj_lower_bound(P121, 2, [0.1])
+    def test_von_neumann_jordan_estimate(self):
+        estimate = estimate_constants(P121, 2, [0.1]).von_neumann_jordan
         assert 1.0 <= estimate.lower_bound <= 2.0
 
 

@@ -8,6 +8,7 @@ from morreykit import (
     Annulus,
     Ball,
     MorreyParams,
+    NormMethod,
     ParameterError,
     PiecewiseRadialPower,
     SearchConfig,
@@ -211,7 +212,7 @@ class TestBallPIntegral:
         monkeypatch.setenv("MORREYKIT_THREADS", "3")
         third = ball_p_integral_mc(profile, ball, cfg)
         fourth = ball_p_integral_mc(profile, ball, cfg)
-        assert third == fourth  # fixed seed and worker count
+        assert third == fourth  # fixed seed and stream count
 
 
 class TestMonotoneProfileCheck:
@@ -280,6 +281,16 @@ class TestMorreyNormNumeric:
             params = MorreyParams(*triple)
             report = morrey_norm_numeric(PiecewiseRadialPower.pure_power(params))
             assert math.isclose(report.value, power_norm_exact(params), rel_tol=1e-9)
+
+    @pytest.mark.parametrize("triple", [(1.0, 2.0, 1), (1.0, 2.0, 2), (2.0, 3.0, 3)])
+    def test_pure_power_is_closed_form(self, triple):
+        params = MorreyParams(*triple)
+        pure = PiecewiseRadialPower.pure_power(params)
+        reports = [morrey_norm_numeric(pure, FAST), *morrey_norms_shared([pure, pure])]
+        for report in reports:
+            assert report.value == power_norm_exact(params)
+            assert report.method is NormMethod.CLOSED_FORM
+            assert report.abs_uncertainty == 0.0
 
     def test_oracle_agreement_on_monotone_profiles(self):
         # the two norm backends validate each other where the centered
