@@ -29,7 +29,7 @@ from .core import (
     warn_if_underflow,
 )
 from . import closedform
-from .numeric import SearchConfig, morrey_norm_numeric, morrey_norms_shared
+from .numeric import SearchConfig, morrey_norms_shared
 
 #: Search resolution used for witness verification.  Combination profiles
 #: carry every annulus boundary in the grid, and the decisive centered balls
@@ -350,14 +350,13 @@ def _tuple_signed_norms(vectors: FiniteVectorTuple) -> np.ndarray:
     return vectors.vector_norms(combos)
 
 
-def nj_ratio(obj, cfg: SearchConfig = WITNESS_SEARCH,
-             combinations: SignedCombinationReport | None = None) -> float:
+def nj_ratio(obj, cfg: SearchConfig = WITNESS_SEARCH) -> float:
     """sum over signs of ||x_1 +- ... +- x_n||^2 over 2^(n-1) sum ||x_i||^2.
 
     Equals 1 identically for Euclidean tuples: expanding the squares, every
     cross term is multiplied by a balanced set of signs and cancels.  For a
-    witness family without precomputed combinations, the denominator's norm
-    of functions[0] is one more column of the combinations' shared search.
+    witness family, the denominator's norm of functions[0] is one more
+    column of the signed combinations' shared search.
     """
     if isinstance(obj, FiniteVectorTuple):
         norms = obj.vector_norms()
@@ -366,10 +365,7 @@ def nj_ratio(obj, cfg: SearchConfig = WITNESS_SEARCH,
         signed = _tuple_signed_norms(obj)
         return float(np.sum(signed**2) / (signed.size * np.sum(norms**2)))
     if isinstance(obj, WitnessFamily):
-        if combinations is None:
-            combinations, (base,) = _signed_combinations(obj, cfg, (obj.functions[0],))
-        else:
-            base = morrey_norm_numeric(obj.functions[0], cfg)
+        combinations, (base,) = _signed_combinations(obj, cfg, (obj.functions[0],))
         return _family_nj_ratio(obj, combinations, base.value)
     raise ParameterError(f"unsupported operand {type(obj).__name__}")
 

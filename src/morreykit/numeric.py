@@ -12,13 +12,17 @@ ball: a full sphere for r <= R - a, empty beyond r >= R + a (or inside
 r <= a - R when the origin lies outside), and a spherical cap in between.
 Inside annuli the power part integrates in closed form; only the cap-angle
 factor needs quadrature.
+
+Importing this module loads numpy only.  scipy is imported on first use, by
+the two paths that need it: the adaptive cap quadrature (`quad`) of
+ball_p_integral on off-center balls with d >= 2, and the incomplete beta
+function of sin_power_integral for sine powers m >= 2, that is for d >= 4.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, sparse, special
 
 from .closedform import centered_norm, morrey_quantity, shell_integral
 from .core import (
@@ -56,7 +60,8 @@ def sin_power_integral(m: int, t):
     """int_0^t sin(x)^m dx for t in [0, pi], vectorized in t.
 
     m = 0 and m = 1 are elementary; otherwise the integral is half an
-    incomplete beta function in sin(t)^2, reflected about pi/2.
+    incomplete beta function in sin(t)^2, reflected about pi/2, and
+    scipy.special is imported on the first such call.
     """
     if m < 0:
         raise ParameterError(f"sine power must be >= 0, got {m}")
@@ -65,6 +70,8 @@ def sin_power_integral(m: int, t):
         return t + 0.0
     if m == 1:
         return 1.0 - np.cos(t)
+    from scipy import special
+
     a = 0.5 * (m + 1)
     full = special.beta(a, 0.5)
     s2 = np.sin(np.minimum(t, np.pi - t)) ** 2
@@ -122,7 +129,8 @@ def ball_p_integral(profile: PiecewiseRadialPower, ball: Ball,
     (|R - a|, R + a), only a cap of each sphere does.  For d = 1 the cap is
     one of the two points {-r, +r}, half the shell.  For d >= 2 the
     substitution u = r^alpha turns the radial power into du, leaving the
-    bounded cap-angle factor as the only integrand for adaptive quadrature.
+    bounded cap-angle factor as the only integrand for adaptive quadrature
+    (scipy's `quad`, imported on the first call that needs it).
     """
     params = profile.params
     d, alpha = params.d, params.alpha
@@ -162,6 +170,8 @@ def ball_p_integral(profile: PiecewiseRadialPower, ball: Ball,
             # sliver's own (negligible) weight.
             val = width * cap_angle(0.5 * (u_lo + u_hi))
         else:
+            from scipy import integrate
+
             res = integrate.quad(
                 cap_angle, u_lo, u_hi, epsabs=1e-13, epsrel=1e-11,
                 limit=200, full_output=True,
@@ -269,17 +279,19 @@ class _BatchObjective:
     precomputed (K+1) x P prefix sums of whole-annulus masses plus one
     partial annulus.  Inside the window only the annuli that meet it carry
     mass, a contiguous index range because the annuli are sorted; those
-    (ball, annulus) pairs are listed CSR-style and each gets fixed-order
+    (ball, annulus) pairs are listed ball by ball and each gets fixed-order
     Gauss-Legendre on its cap-angle factor (after the u = r^alpha
-    substitution), and a segment sum scatters pair masses times |coeff|^p
-    back to the balls.  So a ball costs O(P) plus its active pairs.  For
-    d = 1 the folded interval (a - R, a + R) is twice the full part plus
-    the window, whose cap factor is exactly 1.  Calls are scored in blocks
-    of _BALL_BLOCK balls and cap panels in blocks of _PANEL_BLOCK points,
-    with a block's arrays updated in place, and every sum runs in a fixed
-    order, so a ball's value does not depend on the call or block it comes
-    in.  Accuracy only has to be good enough to find the right ball: the
-    search re-scores each winner with the adaptive integral and reports
+    substitution), and a segment sum (np.bincount over (ball, profile)
+    bins) adds pair masses times |coeff|^p back to the balls.  So a ball
+    costs O(P) plus its active pairs, and only the cap-angle factor of
+    d >= 4 needs scipy (sin_power_integral).  For d = 1 the folded interval
+    (a - R, a + R) is twice the full part plus the window, whose cap factor
+    is exactly 1.  Calls are scored in blocks of _BALL_BLOCK balls and cap
+    panels in blocks of _PANEL_BLOCK points, with a block's arrays updated
+    in place, and every sum runs in a fixed order, so a ball's value does
+    not depend on the call or block it comes in.  Accuracy only has to be
+    good enough to find the right ball: the search re-scores each winner
+    with the adaptive integral and reports
     abs_uncertainty = max(|batched value - rescored value|, 1e-9 * value).
     """
 
@@ -346,8 +358,19 @@ class _BatchObjective:
         return out
 
     def _window_mass(self, a, big_r):
-        """(balls x P) masses inside each ball's window (|R - a|, R + a),
-        from the (ball, annulus) pairs that meet it."""
+        """(balls x P) masses inside each ball's window (|R - a|, R + a):
+        each (ball, profile) bin adds its pairs' masses times |coeff|^p in
+        pair order, starting from 0."""
+        ball, ann, mass = self._window_pairs(a, big_r)
+        columns = self.cp.shape[1]
+        bins = (ball[:, None] * columns + np.arange(columns)).ravel()
+        pair_mass = (mass[:, None] * self.cp[ann]).ravel()
+        return np.bincount(bins, weights=pair_mass,
+                           minlength=a.size * columns).reshape(a.size, columns)
+
+    def _window_pairs(self, a, big_r):
+        """The (ball, annulus) pairs that meet each ball's window, grouped by
+        ball in annulus order, with their masses per unit |coeff|^p."""
         w_lo, w_hi = np.abs(big_r - a), big_r + a
         first = np.searchsorted(self.hi, w_lo, side="right")
         counts = np.where(w_hi > w_lo,
@@ -367,11 +390,7 @@ class _BatchObjective:
                 angle[part] = self._cap_angle(u_lo[part], width[part],
                                               a[ball[part]], big_r[ball[part]])
             width = width * angle
-        # Row i of this (balls x K) CSR matrix holds ball i's pair masses;
-        # its product with the |coeff|^p columns sums each row in pair order.
-        pairs = sparse.csr_array((self.cap_factor * width, ann, indptr),
-                                 shape=(a.size, self.lo.size))
-        return pairs @ self.cp
+        return ball, ann, self.cap_factor * width
 
     def _cap_angle(self, u_lo, width, a, big_r):
         """Mean cap-angle factor over each pair's u-panel, by Gauss-Legendre."""

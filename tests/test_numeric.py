@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, sparse
 
 from morreykit import (
     Annulus,
@@ -508,6 +508,22 @@ class TestBatchObjective:
         cuts = [0, 1, 8, 300, _BALL_BLOCK + 300, size]
         parts = [objective(a[i:j], big_r[i:j]) for i, j in zip(cuts, cuts[1:])]
         assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("columns", [1, 17])
+    @pytest.mark.parametrize("profiles", list(_objective_cases()))
+    def test_segment_sum_matches_csr_product(self, profiles, columns):
+        # P profiles on the case's annuli, with distinct |coeff|^p columns.
+        profiles = [profiles[k % len(profiles)].scale_coefficients((-1) ** k * (1.0 + k / 8))
+                    for k in range(columns)]
+        objective = _BatchObjective(profiles, 20)
+        a, big_r = _probe_balls(profiles[0])
+        ball, ann, mass = objective._window_pairs(a, big_r)
+        # Row i of this (balls x K) CSR matrix holds ball i's pair masses.
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(ball, minlength=a.size))))
+        pairs = sparse.csr_array((mass, ann, indptr), shape=(a.size, objective.lo.size))
+        got = objective._window_mass(a, big_r)
+        assert got.shape == (a.size, columns)
+        assert np.array_equal(got, pairs @ objective.cp)
 
     def test_probes_put_window_ends_on_boundaries(self):
         profile = _dyadic_profiles(MorreyParams(1.0, 2.0, 2), np.random.default_rng(0))[0]
