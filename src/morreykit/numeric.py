@@ -13,13 +13,19 @@ r <= a - R when the origin lies outside), and a spherical cap in between.
 Inside annuli the power part integrates in closed form; only the cap-angle
 factor needs quadrature.
 
-Importing this module loads numpy only.  scipy is imported on first use, by
-the two paths that need it: the adaptive cap quadrature (`quad`) of
-ball_p_integral on off-center balls with d >= 2, and the incomplete beta
-function of sin_power_integral for sine powers m >= 2, that is for d >= 4.
+Importing this module loads numpy only.  scipy is loaded on first use, by
+the two paths that need it: the adaptive cap quadrature (QUADPACK's QAGS,
+the routine behind scipy's `quad`, see _qagse) of ball_p_integral on
+off-center balls with d >= 2, and the incomplete beta function of
+sin_power_integral for sine powers m >= 2, that is for d >= 4.
 """
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +126,55 @@ def _segment_arrays(profile: PiecewiseRadialPower):
     return lo, hi, cp
 
 
+def _quadpack_alone():
+    """scipy.integrate's QUADPACK extension module, loaded from its file
+    without importing the scipy.integrate package; None if there is no file."""
+    name = "scipy.integrate._quadpack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    for folder in (spec.submodule_search_locations or ()) if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "integrate", "_quadpack" + suffix)
+            if os.path.isfile(path):
+                module_spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(module_spec)
+                module_spec.loader.exec_module(module)
+                # Leave no submodule registered without its package.
+                sys.modules.pop(name, None)
+                return module
+    return None
+
+
+@functools.cache
+def _qagse():
+    """QUADPACK's QAGS on a finite interval, the routine scipy.integrate.quad
+    runs there: a function (f, a, b, epsabs, epsrel, limit) -> (value, ok).
+
+    Importing the scipy.integrate package also imports scipy.optimize,
+    sparse, linalg, spatial and fft: about 0.35 s and 50 MiB of resident
+    memory, which a search would pay or not depending on whether its winner
+    is an off-center ball.  So the extension module is loaded by itself
+    (_quadpack_alone), and its values are quad's, bit for bit.  Without the
+    file, quad itself is used.
+    """
+    module = _quadpack_alone()
+    if module is not None:
+        def qags(f, a, b, epsabs, epsrel, limit):
+            value, _abserr, ier = module._qagse(f, a, b, (), 0, epsabs, epsrel, limit)
+            return value, ier == 0
+
+        return qags
+    from scipy import integrate
+
+    def quad(f, a, b, epsabs, epsrel, limit):
+        res = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
+                             full_output=True)
+        return res[0], len(res) == 3  # quad appends an explanation on failure
+
+    return quad
+
+
 def ball_p_integral(profile: PiecewiseRadialPower, ball: Ball,
                     cfg: SearchConfig = DEFAULT_SEARCH) -> float:
     """int over the ball of |profile|^p, to near machine accuracy.
@@ -130,7 +185,7 @@ def ball_p_integral(profile: PiecewiseRadialPower, ball: Ball,
     one of the two points {-r, +r}, half the shell.  For d >= 2 the
     substitution u = r^alpha turns the radial power into du, leaving the
     bounded cap-angle factor as the only integrand for adaptive quadrature
-    (scipy's `quad`, imported on the first call that needs it).
+    (QUADPACK's QAGS from scipy, loaded on the first call that needs it).
     """
     params = profile.params
     d, alpha = params.d, params.alpha
@@ -170,15 +225,9 @@ def ball_p_integral(profile: PiecewiseRadialPower, ball: Ball,
             # sliver's own (negligible) weight.
             val = width * cap_angle(0.5 * (u_lo + u_hi))
         else:
-            from scipy import integrate
-
-            res = integrate.quad(
-                cap_angle, u_lo, u_hi, epsabs=1e-13, epsrel=1e-11,
-                limit=200, full_output=True,
-            )
-            if len(res) > 3:  # quad appends an explanation on failure
+            val, ok = _qagse()(cap_angle, u_lo, u_hi, 1e-13, 1e-11, 200)
+            if not ok:
                 raise NumericalFailure("cap-region quadrature did not converge")
-            val = res[0]
         total += cp_k * omega_cap * val / alpha
     return float(total)
 

@@ -25,6 +25,7 @@ from morreykit import (
     sphere_area,
 )
 from morreykit.constants import _combination_profiles, build_witnesses
+from morreykit import numeric
 from morreykit.numeric import _BALL_BLOCK, _BatchObjective
 from morreykit.sampling import random_bounded_profile, random_params
 
@@ -95,6 +96,37 @@ class TestShellArea:
             )
             volume = sphere_area(d) / d * big_r**d
             assert math.isclose(total, volume, rel_tol=1e-8)
+
+
+class TestQags:
+    """numeric._qagse, QUADPACK's QAGS loaded without scipy.integrate, gives
+    scipy.integrate.quad's values bit for bit, and so does its quad fallback."""
+
+    CASES = (
+        (math.sin, 0.0, 3.0),
+        (lambda u: math.acos(min(1.0, max(-1.0, 1.0 - 2.0 * u))), 0.0, 1.0),
+        (lambda u: math.sqrt(abs(u - 0.3)), 0.0, 1.0),
+    )
+
+    @staticmethod
+    def _check(qags):
+        for f, lo, hi in TestQags.CASES:
+            value, ok = qags(f, lo, hi, 1e-13, 1e-11, 200)
+            expected = integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
+            assert ok and value == expected[0]
+        # one subinterval cannot meet the tolerance on a kinked integrand
+        assert not qags(lambda u: abs(u - 0.3), 0.0, 1.0, 1e-13, 1e-11, 1)[1]
+
+    def test_matches_quad(self):
+        self._check(numeric._qagse())
+
+    def test_quad_fallback_matches_quad(self, monkeypatch):
+        monkeypatch.setattr(numeric, "_quadpack_alone", lambda: None)
+        numeric._qagse.cache_clear()
+        try:
+            self._check(numeric._qagse())
+        finally:
+            numeric._qagse.cache_clear()
 
 
 class TestBallPIntegral:

@@ -1,6 +1,7 @@
 """Start-up guarantee: morreykit and its CLI import numpy alone, and scipy
-is loaded only by the paths that need it (the adaptive cap quadrature of
-off-center d >= 2 balls, and the incomplete beta function for d >= 4).
+is loaded only by the paths that need it (QUADPACK, by itself, for the
+adaptive cap quadrature of off-center d >= 2 balls, and the incomplete beta
+function for d >= 4).
 
 Each check runs in a fresh interpreter, since this test process has scipy
 loaded already."""
@@ -77,20 +78,29 @@ def test_centered_norm_and_d1_ball_load_no_scipy():
     assert loaded == [[]]
 
 
-def test_offcenter_d2_ball_loads_integrate_on_first_use():
+def test_offcenter_d2_ball_loads_only_quadpack_on_first_use():
     ball = Ball(0.8, 0.6)
     expected = ball_p_integral(_cap_profile(2), ball)
-    before, after, value = _run(f"""
+    *loaded, value = _run(f"""
         from morreykit import Annulus, Ball, MorreyParams, PiecewiseRadialPower
         from morreykit import ball_p_integral
+        from morreykit.numeric import _qagse
         {PROFILE.format(d=2)}
+        print(_qagse.cache_info().currsize)
         REPORT
         value = ball_p_integral(profile, Ball({ball.center_dist!r}, {ball.radius!r}))
+        print(_qagse.cache_info().currsize)
         REPORT
         print(json.dumps(value.hex()))
     """)
-    assert before == []
-    assert "scipy.integrate" in after
+    # QUADPACK is loaded at the first cap quadrature, without the
+    # scipy.integrate package and the subpackages it imports; its callback
+    # support loads the scipy package and scipy._lib.
+    before_size, before, after_size, after = loaded
+    assert (before_size, before, after_size) == (0, [], 1)
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",
+             "scipy.special")
+    assert [m for m in after if m.startswith(heavy)] == []
     assert float.fromhex(value) == expected
 
 
