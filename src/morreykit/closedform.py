@@ -105,17 +105,6 @@ def chunk_lower_bound(params: MorreyParams, epsilon: float) -> float:
     return factor * power_norm_exact(params)
 
 
-def _centered_value(profile: PiecewiseRadialPower, r: float) -> float:
-    """Centered-ball quantity at radius r for a bounded profile."""
-    params = profile.params
-    mass = 0.0
-    for ann, coeff in profile.segments:
-        if coeff == 0.0 or r <= ann.r_lo:
-            continue
-        mass += abs(coeff) ** params.p * shell_integral(params, ann.r_lo, min(r, ann.r_hi))
-    return morrey_quantity(params, r, mass) if mass > 0.0 else 0.0
-
-
 def centered_norm(profile: PiecewiseRadialPower) -> NormReport:
     """Supremum of the centered-ball quantity Q(r) over all radii.
 
@@ -129,7 +118,10 @@ def centered_norm(profile: PiecewiseRadialPower) -> NormReport:
     boundaries (constant below the smallest positive one, decreasing beyond
     the support), and its supremum is its largest value at a positive
     boundary.  Those are evaluated in order and the first strict maximum is
-    kept; abs_uncertainty allows 4e-12 relative for rounding.
+    kept; abs_uncertainty allows 4e-12 relative for rounding.  At a
+    boundary every annulus that starts below it also ends at or below it,
+    so the centered mass there is a running sum of whole-annulus masses in
+    annulus order, and one pass over the segments gives every boundary.
     """
     if profile.is_pure_power:
         value = power_norm_exact(profile.params)
@@ -140,10 +132,22 @@ def centered_norm(profile: PiecewiseRadialPower) -> NormReport:
             abs_uncertainty=0.0,
         )
 
-    # max keeps the first of tied radii
-    radius = max((float(b) for b in profile.boundaries if b > 0.0),
-                 key=lambda r: _centered_value(profile, r))
-    value = _centered_value(profile, radius)
+    params = profile.params
+    value, radius = -1.0, None
+    mass = 0.0
+    segments = iter(profile.segments)
+    pending = next(segments, None)
+    bounds = profile.boundaries
+    for r in bounds[bounds > 0.0]:
+        r = float(r)
+        while pending is not None and pending[0].r_lo < r:
+            ann, coeff = pending
+            if coeff != 0.0:
+                mass += abs(coeff) ** params.p * shell_integral(params, ann.r_lo, ann.r_hi)
+            pending = next(segments, None)
+        here = morrey_quantity(params, r, mass) if mass > 0.0 else 0.0
+        if here > value:
+            value, radius = here, r
     return NormReport(
         value=value,
         argmax_ball=Ball(0.0, radius),

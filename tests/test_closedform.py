@@ -20,7 +20,7 @@ from morreykit import (
     power_norm_exact,
     sphere_area,
 )
-from morreykit.closedform import _centered_value
+from morreykit.closedform import morrey_quantity, shell_integral
 from morreykit.sampling import random_bounded_profile, random_params
 
 
@@ -291,6 +291,19 @@ def gapped_profile(rng):
         if hi > lo:
             segments.append((Annulus(lo, hi), coeff))
     return PiecewiseRadialPower(params, tuple(segments))
+
+
+def _centered_value(profile, r):
+    """Centered-ball quantity at radius r for a bounded profile, summed
+    afresh over every annulus: the reference for centered_norm's single
+    pass."""
+    params = profile.params
+    mass = 0.0
+    for ann, coeff in profile.segments:
+        if coeff == 0.0 or r <= ann.r_lo:
+            continue
+        mass += abs(coeff) ** params.p * shell_integral(params, ann.r_lo, min(r, ann.r_hi))
+    return morrey_quantity(params, r, mass) if mass > 0.0 else 0.0
 
 
 class TestCenteredBoundaryMaximum:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from morreykit import (
     sin_power_integral,
     sphere_area,
 )
-from morreykit.constants import _combination_profiles, build_witnesses
+from morreykit.constants import WITNESS_SEARCH, _combination_profiles, build_witnesses
 from morreykit import numeric
 from morreykit.numeric import _BALL_BLOCK, _BatchObjective
 from morreykit.sampling import random_bounded_profile, random_params
@@ -571,6 +572,123 @@ class TestBatchObjective:
         objective = _BatchObjective([PiecewiseRadialPower.power_restriction(
             MorreyParams(1.0, 2.0, 2), 0.5, 1.0)], 7)
         assert (objective.lo.size, objective.nodes.size, objective.d) == (1, 7, 2)
+
+
+def _grid(profile, cfg):
+    """The search grid of morrey_norms_shared, as (center_dist, radius)
+    arrays in its order."""
+    aa, rr = np.meshgrid(numeric._center_grid(profile, cfg),
+                         numeric._radius_grid(profile, cfg), indexing="ij")
+    return aa.ravel(), rr.ravel()
+
+
+def _zero_core_profile():
+    """A zero coefficient on (0, r1): balls with R == a, which the grid
+    holds at every boundary, get 0 * inf for the density on their window."""
+    return PiecewiseRadialPower(MorreyParams(1.5, 4.0, 2), (
+        (Annulus(0.0, 0.3), 0.0), (Annulus(0.3, 0.7), 2.0), (Annulus(0.7, 1.0), -1.0)))
+
+
+def _bound_cases():
+    rng = np.random.default_rng(23)
+    for k in range(60):
+        params = random_params(rng, d_max=5)
+        base = random_bounded_profile(params, rng, max_segments=8)
+        # random signs, and gaps where segments are dropped
+        segments = tuple(seg for seg in base.segments if rng.random() < 0.7)
+        profile = PiecewiseRadialPower(params, segments or base.segments[:1])
+        yield pytest.param([profile], FAST, id=f"random-{k}-d{params.d}")
+    yield pytest.param([_zero_core_profile()], SearchConfig(), id="zero-core")
+    for d in (1, 2):
+        for n in range(3, 9):
+            with warnings.catch_warnings():
+                # the deep-radius warning of n = 8; see test_bounds_every_grid_ball
+                warnings.simplefilter("ignore", RuntimeWarning)
+                family = build_witnesses(MorreyParams(1.0, 2.0, d), n, 0.1)
+            profiles = [pr for _, pr in _combination_profiles(family)]
+            yield pytest.param(profiles + [family.functions[0]], WITNESS_SEARCH,
+                               id=f"witness-d{d}-n{n}")
+
+
+class TestMassBound:
+    @pytest.mark.parametrize("profiles, cfg", list(_bound_cases()))
+    def test_bounds_every_grid_ball(self, profiles, cfg):
+        # In quantity terms: the Morrey quantity that a ball holding the
+        # bound's mass would have is at least the ball's batched value, up
+        # to the Gauss-Legendre overshoot of the cap-angle factor in d >= 2
+        # (at most 0.5 / Q^3), which the search's floor slack covers.
+        objective = _BatchObjective(profiles, cfg.quad_points)
+        aa, rr = _grid(profiles[0], cfg)
+        value = objective(aa, rr)
+        with np.errstate(divide="ignore"):
+            bound = np.exp(np.log(objective.mass_bound(aa, rr)) / objective.p
+                           + ((1.0 / objective.q - 1.0 / objective.p)
+                              * objective._log_ball(rr))[:, None])
+        slack = 1e-12 + (0.5 * cfg.quad_points ** -3.0 if objective.d >= 2 else 0.0)
+        # Two kinds of grid balls where the batched value, not the bound,
+        # loses digits.  Balls far thinner than their distance from the
+        # origin lose them to cancellation in the cap angle and the window
+        # width: an error of at most 1e-5 of the largest value, far below
+        # the floor.  Balls with a subnormal squared center distance or
+        # radius lose them in the cap angle's cosine: the deep-radius defect
+        # of the witnesses at n = 8, left out here.
+        deep = (aa > 0.0) & (np.minimum(aa, rr) < 1.5e-154)
+        thin = (rr < 1e-3 * aa)[:, None]
+        noise = np.where(thin, 1e-5 * value.max(axis=0), 0.0)
+        holds = (value <= bound * (1.0 + slack) + noise) | np.isnan(bound)
+        assert np.all(holds[~deep])
+
+    def test_bound_is_dilation_invariant(self):
+        # Morrey quantities do not change when the annuli and the ball are
+        # dilated together.  At a scale of 2^-530 the ball volumes of d = 2
+        # are subnormal or 0, so a bound that formed them would change.
+        rng = np.random.default_rng(3)
+        params = MorreyParams(1.0, 2.0, 2)
+        base = random_bounded_profile(params, rng, max_segments=6)
+        scale = 2.0 ** -530
+        small = PiecewiseRadialPower(params, tuple(
+            (Annulus(ann.r_lo * scale, ann.r_hi * scale), c) for ann, c in base.segments))
+        aa, rr = _grid(base, FAST)
+        quantities = []
+        for profile, a, big_r in ((base, aa, rr), (small, aa * scale, rr * scale)):
+            objective = _BatchObjective([profile], 20)
+            with np.errstate(divide="ignore"):
+                quantities.append(np.log(objective.mass_bound(a, big_r)) / objective.p
+                                  + (1.0 / objective.q - 1.0 / objective.p)
+                                  * objective._log_ball(big_r)[:, None])
+        assert np.allclose(np.exp(quantities[1]), np.exp(quantities[0]), rtol=1e-11, atol=0.0)
+
+    def test_nan_bound_keeps_its_ball(self):
+        profile = _zero_core_profile()
+        objective = _BatchObjective([profile], 20)
+        aa, rr = _grid(profile, SearchConfig())
+        no_bound = np.isnan(objective.mass_bound(aa, rr)).any(axis=1)
+        assert np.any(no_bound) and np.all(rr[no_bound] == aa[no_bound])
+        # No finite bound reaches an infinite floor.
+        assert np.array_equal(objective.reachable(aa, rr, np.array([np.inf])), no_bound)
+
+    @pytest.mark.parametrize("profiles, cfg", list(_bound_cases())[::4])
+    def test_grid_winner_matches_unpruned_grid(self, profiles, cfg, monkeypatch):
+        seen = []
+        refine = numeric._refine
+
+        def spy(objective, a0, r0, v0):
+            seen.append((a0.copy(), r0.copy(), v0.copy()))
+            return refine(objective, a0, r0, v0)
+
+        monkeypatch.setattr(numeric, "_refine", spy)
+        morrey_norms_shared(profiles, cfg)
+        # Every grid ball scored; np.argmax keeps the first of tied balls,
+        # as the search's strict comparison across chunks does.
+        objective = _BatchObjective(profiles, cfg.quad_points)
+        aa, rr = _grid(profiles[0], cfg)
+        values = np.concatenate([objective(aa[i:i + 8192], rr[i:i + 8192])
+                                 for i in range(0, aa.size, 8192)])
+        best = np.argmax(values, axis=0)
+        (a0, r0, v0), = seen
+        assert np.array_equal(a0, aa[best])
+        assert np.array_equal(r0, rr[best])
+        assert np.array_equal(v0, values[best, np.arange(len(profiles))])
 
 
 def test_search_config_validation():
