@@ -13,19 +13,13 @@ r <= a - R when the origin lies outside), and a spherical cap in between.
 Inside annuli the power part integrates in closed form; only the cap-angle
 factor needs quadrature.
 
-Importing this module loads numpy only.  scipy is loaded on first use, by
-the two paths that need it: the adaptive cap quadrature (QUADPACK's QAGS,
-the routine behind scipy's `quad`, see _qagse) of ball_p_integral on
-off-center balls with d >= 2, and the incomplete beta function of
+Importing this module loads numpy only.  scipy is loaded on first use by
+the one path that needs it: the incomplete beta function of
 sin_power_integral for sine powers m >= 2, that is for d >= 4.
 """
 
 import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +59,10 @@ DEFAULT_SEARCH = SearchConfig()
 def sin_power_integral(m: int, t):
     """int_0^t sin(x)^m dx for t in [0, pi], vectorized in t.
 
-    m = 0 and m = 1 are elementary; otherwise the integral is half an
-    incomplete beta function in sin(t)^2, reflected about pi/2, and
-    scipy.special is imported on the first such call.
+    m = 0 and m = 1 are elementary.  Otherwise (scipy.special is imported on
+    the first call) it is an incomplete beta function in sin(t)^2 within pi/4
+    of 0 or pi; nearer pi/2, where that one's derivative blows up, it is
+    int_0^(pi/2) sin^m less int_0^(pi/2-t) cos^m, one in cos(t)^2.
     """
     if m < 0:
         raise ParameterError(f"sine power must be >= 0, got {m}")
@@ -78,11 +73,11 @@ def sin_power_integral(m: int, t):
         return 1.0 - np.cos(t)
     from scipy import special
 
-    a = 0.5 * (m + 1)
-    full = special.beta(a, 0.5)
-    s2 = np.sin(np.minimum(t, np.pi - t)) ** 2
-    lower = 0.5 * full * special.betainc(a, 0.5, s2)
-    return np.where(t <= 0.5 * np.pi, lower, full - lower)
+    a, s2, c2 = 0.5 * (m + 1), np.sin(t) ** 2, np.cos(t) ** 2
+    half = 0.5 * special.beta(a, 0.5)
+    out = half * np.where(s2 <= c2, special.betainc(a, 0.5, s2),
+                          1.0 - special.betainc(0.5, a, c2))
+    return np.where(t <= 0.5 * np.pi, out, 2.0 * half - out)
 
 
 def shell_area(d: int, r, center_dist: float, radius: float):
@@ -100,15 +95,11 @@ def shell_area(d: int, r, center_dist: float, radius: float):
         inside_pos = np.abs(r - a) < big_r
         inside_neg = r + a < big_r
         return inside_pos.astype(float) + inside_neg.astype(float)
-    full = sphere_area(d) * r ** (d - 1)
-    if a == 0.0:
-        return np.where(r < big_r, full, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos_half = (a * a + r * r - big_r * big_r) / (2.0 * a * r)
-    theta = np.arccos(np.clip(cos_half, -1.0, 1.0))
-    cap = sphere_area(d - 1) * r ** (d - 1) * sin_power_integral(d - 2, theta)
-    out = np.where(r <= big_r - a, full, cap)
-    return np.where((r >= a + big_r) | (r <= a - big_r), 0.0, out)
+    # theta is pi below the window of a ball that holds the origin, 0 beyond it.
+    w_lo, w_hi = abs(big_r - a), big_r + a
+    theta = _window_angle(np.maximum(r - w_lo, 0.0), np.maximum(w_hi - r, 0.0), r,
+                          w_lo, w_hi, big_r < a)
+    return sphere_area(d - 1) * r ** (d - 1) * sin_power_integral(d - 2, theta)
 
 
 def _log_pow(x, a_exp):
@@ -126,53 +117,32 @@ def _segment_arrays(profile: PiecewiseRadialPower):
     return lo, hi, cp
 
 
-def _quadpack_alone():
-    """scipy.integrate's QUADPACK extension module, loaded from its file
-    without importing the scipy.integrate package; None if there is no file."""
-    name = "scipy.integrate._quadpack"
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec("scipy")
-    for folder in (spec.submodule_search_locations or ()) if spec else ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(folder, "integrate", "_quadpack" + suffix)
-            if os.path.isfile(path):
-                module_spec = importlib.util.spec_from_file_location(name, path)
-                module = importlib.util.module_from_spec(module_spec)
-                module_spec.loader.exec_module(module)
-                # Leave no submodule registered without its package.
-                sys.modules.pop(name, None)
-                return module
-    return None
+#: _cap_mass: Q (and 2Q) Gauss-Legendre nodes, the bound on |I_2Q - I_Q| per panel
+#: relative to the window mass so far, and the most bisections and panels.
+_CAP_NODES, _CAP_RTOL, _CAP_SPLITS, _CAP_PANELS = 16, 1e-14, 60, 4096
 
 
 @functools.cache
-def _qagse():
-    """QUADPACK's QAGS on a finite interval, the routine scipy.integrate.quad
-    runs there: a function (f, a, b, epsabs, epsrel, limit) -> (value, ok).
+def _gauss_legendre(n: int):
+    """n-point Gauss-Legendre nodes and weights on (0, 1), by Newton's method on
+    the Legendre recurrence: leggauss would cost numpy.polynomial and LAPACK."""
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(8):
+        p_prev, p = np.ones(n), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / dp
+    return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * dp * dp)
 
-    Importing the scipy.integrate package also imports scipy.optimize,
-    sparse, linalg, spatial and fft: about 0.35 s and 50 MiB of resident
-    memory, which a search would pay or not depending on whether its winner
-    is an off-center ball.  So the extension module is loaded by itself
-    (_quadpack_alone), and its values are quad's, bit for bit.  Without the
-    file, quad itself is used.
-    """
-    module = _quadpack_alone()
-    if module is not None:
-        def qags(f, a, b, epsabs, epsrel, limit):
-            value, _abserr, ier = module._qagse(f, a, b, (), 0, epsabs, epsrel, limit)
-            return value, ier == 0
 
-        return qags
-    from scipy import integrate
-
-    def quad(f, a, b, epsabs, epsrel, limit):
-        res = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
-                             full_output=True)
-        return res[0], len(res) == 3  # quad appends an explanation on failure
-
-    return quad
+def _window_angle(e_lo, e_hi, r, w_lo, w_hi, outside):
+    """Cap angle theta of the sphere {|x| = r} inside B(a, R) from r's distances
+    e_lo, e_hi to the window ends (w_lo, w_hi) = (|R - a|, R + a); outside is
+    R < a.  tan^2(theta/2) = e_hi m1 / (m2 (r + w_hi)) with (m1, m2) = (e_lo,
+    r + w_lo) if R < a, else (r + w_lo, e_lo), so no cosine cancels."""
+    m1, m2 = (e_lo, r + w_lo) if outside else (r + w_lo, e_lo)
+    return 2.0 * np.arctan2(np.sqrt(e_hi * m1), np.sqrt(m2 * (r + w_hi)))
 
 
 def ball_p_integral(profile: PiecewiseRadialPower, ball: Ball) -> float:
@@ -181,54 +151,83 @@ def ball_p_integral(profile: PiecewiseRadialPower, ball: Ball) -> float:
     Below max(R - a, 0) every sphere lies wholly inside the ball, so that
     part is the closed-form shell integral.  Above it, in the window
     (|R - a|, R + a), only a cap of each sphere does.  For d = 1 the cap is
-    one of the two points {-r, +r}, half the shell.  For d >= 2 the
-    substitution u = r^alpha turns the radial power into du, leaving the
-    bounded cap-angle factor as the only integrand for adaptive quadrature
-    (QUADPACK's QAGS from scipy, loaded on the first call that needs it).
+    one of the two points {-r, +r}, half the shell; for d >= 2 see _cap_mass.
     """
-    params = profile.params
-    d, alpha = params.d, params.alpha
+    params, d = profile.params, profile.params.d
     a, big_r = ball.center_dist, ball.radius
     lo, hi, cp = _segment_arrays(profile)
     full_hi = max(big_r - a, 0.0)
     cap_lo, cap_hi = abs(big_r - a), a + big_r
-    omega_cap = sphere_area(d - 1) if d >= 2 else 0.0
     total = 0.0
-    for lo_k, hi_k, cp_k in zip(lo, hi, cp):
+    for lo_k, hi_k, cp_k in zip(lo.tolist(), hi.tolist(), cp.tolist()):
         if cp_k == 0.0:
             continue
         total += cp_k * shell_integral(params, lo_k, min(hi_k, full_hi))
-        s_lo, s_hi = max(lo_k, cap_lo), min(hi_k, cap_hi)
-        if not s_hi > s_lo:
-            continue
         if d == 1:
-            total += 0.5 * cp_k * shell_integral(params, s_lo, s_hi)
-            continue
-        u_lo = float(_log_pow(s_lo, alpha))
-        u_hi = float(_log_pow(s_hi, alpha))
-
-        def cap_angle(u):
-            r = u ** (1.0 / alpha)
-            cos_half = (a * a + r * r - big_r * big_r) / (2.0 * a * r)
-            return float(
-                sin_power_integral(d - 2, math.acos(min(1.0, max(-1.0, cos_half))))
-            )
-
-        width = u_hi - u_lo
-        if width <= 0.0:
-            continue
-        if width < 1e-12 * u_hi:
-            # Near-centered balls shrink the cap region to a sliver at
-            # the float resolution limit, where adaptive subdivision is
-            # impossible; the midpoint rule is exact to within the
-            # sliver's own (negligible) weight.
-            val = width * cap_angle(0.5 * (u_lo + u_hi))
-        else:
-            val, ok = _qagse()(cap_angle, u_lo, u_hi, 1e-13, 1e-11, 200)
-            if not ok:
-                raise NumericalFailure("cap-region quadrature did not converge")
-        total += cp_k * omega_cap * val / alpha
+            total += 0.5 * cp_k * shell_integral(params, max(lo_k, cap_lo), min(hi_k, cap_hi))
+    if d >= 2 and a > 0.0:
+        total += _cap_mass(params, a, big_r, lo, hi, cp)
     return float(total)
+
+
+def _cap_mass(params, a, big_r, ann_lo, ann_hi, cp):
+    """Window mass of B(a, R), d >= 2: the sum over annuli (ann_lo, ann_hi) of
+    cp omega_(d-1) int r^(alpha-1) S_(d-2)(theta) dr over their parts in the
+    window, with S_m(t) = int_0^t sin^m, by one vectorised quadrature.
+
+    On the window (w_lo, w_hi) of width W = 2 min(a, R), r = w_lo + W sin^2(phi/2)
+    (Sidi's sin^2 transformation, dr = (W/2) sin phi dphi) makes theta smooth at
+    both window ends and gives r's distances to them without cancellation;
+    lengths are in units of w_hi.  A phi-panel whose Q- and 2Q-point
+    Gauss-Legendre values differ by at most _CAP_RTOL times the window mass
+    found so far adds its 2Q value; the others are bisected, all in the same
+    arrays.  Sums use einsum: a BLAS matvec's thread start-up costs more.
+    """
+    d, alpha = params.d, params.alpha
+    big, small = max(a, big_r), min(a, big_r)
+    w_lo, w_hi = big - small, big + small
+    s_lo, s_hi = np.maximum(ann_lo, w_lo), np.minimum(ann_hi, w_hi)
+
+    def angle(s):  # (s - big) + small keeps the digits that fl(big - small) drops
+        return 2.0 * np.arctan2(np.sqrt(np.maximum((s - big) + small, 0.0)),
+                                np.sqrt(np.maximum((big - s) + small, 0.0)))
+    lo, hi = np.where(s_lo > w_lo, angle(s_lo), 0.0), angle(s_hi)
+    # From the window's lower end, r^(alpha-1) ~ phi^(2 alpha - 1) as R -> a,
+    # too steep for bisection when alpha < 1: phi = t^(1/alpha) makes it ~ t.
+    power = np.where((lo == 0.0) & (alpha < 1.0), 1.0 / alpha, 1.0)
+    owner = np.flatnonzero((s_hi > s_lo) & (cp > 0.0))  # the annuli with window mass
+    lo, hi = lo[owner], hi[owner] ** (1.0 / power[owner])
+    (nodes, weights), (nodes2, weights2) = map(_gauss_legendre, (_CAP_NODES, 2 * _CAP_NODES))
+    nodes, total = np.append(nodes, nodes2), 0.0
+    for level in range(_CAP_SPLITS + 1):
+        span = hi - lo
+        t = lo[:, None] + span[:, None] * nodes
+        half = 0.5 * t ** power[owner, None]
+        sin_h, cos_h = np.sin(half), np.cos(half)
+        e_lo, e_hi = 2.0 * small / w_hi * sin_h ** 2, 2.0 * small / w_hi * cos_h ** 2
+        # r > 0 keeps r^(alpha - 1) finite where phi underflows at R = a.
+        r = np.maximum(w_lo / w_hi + e_lo, np.finfo(float).tiny)
+        theta = _window_angle(e_lo, e_hi, r, w_lo / w_hi, 1.0, big_r < a)
+        cap = (2.0 * np.sin(0.5 * theta) ** 2 if d == 3  # 1 - cos, uncancelled
+               else theta if d == 2 else sin_power_integral(d - 2, theta))
+        cap *= r ** (alpha - 1.0) * sin_h * cos_h
+        cap *= half / t  # (d phi / dt) / (2 power)
+        weight = 2.0 * span * power[owner] * cp[owner]
+        coarse = weight * np.einsum("ij,j->i", cap[:, :_CAP_NODES], weights)
+        fine = weight * np.einsum("ij,j->i", cap[:, _CAP_NODES:], weights2)
+        done = np.abs(fine - coarse) <= _CAP_RTOL * (total + fine.sum())
+        total += fine[done].sum()
+        if done.all():
+            break
+        lo, hi, owner = lo[~done], hi[~done], owner[~done]
+        if level == _CAP_SPLITS or 2 * lo.size > _CAP_PANELS:
+            raise NumericalFailure(
+                f"cap-region quadrature did not converge in {level} bisections: ball "
+                f"center_dist={a!r}, radius={big_r!r}, d={d}, alpha={alpha!r}, annulus "
+                f"{ann_lo[owner[0]].item(), ann_hi[owner[0]].item()}")
+        mid = 0.5 * (lo + hi)
+        lo, hi, owner = np.append(lo, mid), np.append(mid, hi), np.append(owner, owner)
+    return sphere_area(d - 1) * total * (2.0 * small) * w_hi ** (alpha - 1.0)
 
 
 def ball_p_integral_mc(profile: PiecewiseRadialPower, ball: Ball,

@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from morreykit import (
     Ball,
     MorreyParams,
     NormMethod,
+    NumericalFailure,
     ParameterError,
     PiecewiseRadialPower,
     SearchConfig,
@@ -37,7 +39,8 @@ class TestSinPowerIntegral:
     @pytest.mark.parametrize("m", range(0, 7))
     def test_against_quadrature(self, m):
         # independent oracle: adaptive quadrature of sin^m
-        for t in (0.05, 0.6, math.pi / 2, 2.2, math.pi - 1e-4):
+        for t in (0.05, 0.6, math.pi / 2 - 1e-8, math.pi / 2, math.pi / 2 + 1e-6, 2.2,
+                  math.pi - 1e-4):
             oracle, _ = integrate.quad(lambda x: math.sin(x) ** m, 0.0, t,
                                        epsabs=1e-13, epsrel=1e-13)
             assert math.isclose(float(sin_power_integral(m, t)), oracle,
@@ -97,37 +100,6 @@ class TestShellArea:
             )
             volume = sphere_area(d) / d * big_r**d
             assert math.isclose(total, volume, rel_tol=1e-8)
-
-
-class TestQags:
-    """numeric._qagse, QUADPACK's QAGS loaded without scipy.integrate, gives
-    scipy.integrate.quad's values bit for bit, and so does its quad fallback."""
-
-    CASES = (
-        (math.sin, 0.0, 3.0),
-        (lambda u: math.acos(min(1.0, max(-1.0, 1.0 - 2.0 * u))), 0.0, 1.0),
-        (lambda u: math.sqrt(abs(u - 0.3)), 0.0, 1.0),
-    )
-
-    @staticmethod
-    def _check(qags):
-        for f, lo, hi in TestQags.CASES:
-            value, ok = qags(f, lo, hi, 1e-13, 1e-11, 200)
-            expected = integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
-            assert ok and value == expected[0]
-        # one subinterval cannot meet the tolerance on a kinked integrand
-        assert not qags(lambda u: abs(u - 0.3), 0.0, 1.0, 1e-13, 1e-11, 1)[1]
-
-    def test_matches_quad(self):
-        self._check(numeric._qagse())
-
-    def test_quad_fallback_matches_quad(self, monkeypatch):
-        monkeypatch.setattr(numeric, "_quadpack_alone", lambda: None)
-        numeric._qagse.cache_clear()
-        try:
-            self._check(numeric._qagse())
-        finally:
-            numeric._qagse.cache_clear()
 
 
 class TestBallPIntegral:
@@ -224,6 +196,108 @@ class TestBallPIntegral:
         near = ball_p_integral(profile, Ball(3.5e-32, 7.2e-18))
         centered = ball_p_integral(profile, Ball(0.0, 7.2e-18))
         assert math.isclose(near, centered, rel_tol=1e-9)
+
+    # Balls for the independent references below: R just above, at and just
+    # below a (R = a on a profile from r = 0 too), thin balls, and others.
+    HARD_BALLS = (Ball(0.5, 0.5 * (1 + 1e-5)), Ball(0.5, 0.5 * (1 + 1e-8)),
+                  Ball(0.5, 0.5), Ball(0.5, 0.5 * (1 - 1e-8)), Ball(0.9, 1e-3),
+                  Ball(0.9, 1e-5), Ball(0.3, 1.1), Ball(1.0, 0.45))
+
+    @staticmethod
+    def _profile(params, first_lo=0.0):
+        return PiecewiseRadialPower(params, ((Annulus(first_lo, 0.7), 1.3),
+                                             (Annulus(0.7, 1.2), -0.4)))
+
+    @staticmethod
+    def _d3_decimal_mass(profile, ball):
+        """Independent d = 3 reference: the cap factor is 1 - cos theta =
+        (R^2 - (r - a)^2) / (2 a r), whose product with r^(alpha - 1) has an
+        elementary antiderivative, evaluated in 50-digit decimal."""
+        params = profile.params
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            dec = decimal.Decimal
+            pi = dec("3.14159265358979323846264338327950288419716939937511")
+            alpha = dec(params.d) * (1 - dec(params.p) / dec(params.q))
+            a, big_r = dec(ball.center_dist), dec(ball.radius)
+
+            def cap(r):  # antiderivative of r^(alpha-1) (R^2 - (r-a)^2) / (2 a r)
+                out = 2 * a * r**alpha / alpha - r ** (alpha + 1) / (alpha + 1)
+                if big_r != a:
+                    out += (big_r * big_r - a * a) * r ** (alpha - 1) / (alpha - 1)
+                return out / (2 * a)
+
+            total = dec(0)
+            for ann, coeff in profile.segments:
+                weight = abs(dec(coeff)) ** dec(params.p)
+                lo, hi = dec(ann.r_lo), dec(ann.r_hi)
+                top = min(hi, max(big_r - a, dec(0)))
+                if top > lo:
+                    total += weight * 4 * pi / alpha * (top**alpha - lo**alpha)
+                s_lo, s_hi = max(lo, abs(big_r - a)), min(hi, big_r + a)
+                if s_hi > s_lo:
+                    total += weight * 2 * pi * (cap(s_hi) - cap(s_lo))
+            return float(total)
+
+    @pytest.mark.parametrize("params", [MorreyParams(1.0, 2.0, 3), MorreyParams(2.0, 2.5, 3)])
+    def test_d3_matches_elementary_antiderivative(self, params):
+        profile = self._profile(params)
+        for ball in self.HARD_BALLS:
+            exact = self._d3_decimal_mass(profile, ball)
+            assert math.isclose(ball_p_integral(profile, ball), exact, rel_tol=1e-12), ball
+
+    @staticmethod
+    def _mpmath_mass(profile, ball, mpmath):
+        """Independent reference at 30 digits: the cap-angle cosine in r,
+        integrated by mpmath's tanh-sinh quadrature in u = r^alpha."""
+        params = profile.params
+        d = params.d
+        with mpmath.workdps(30):
+            alpha = d * (1 - mpmath.mpf(params.p) / params.q)
+            a, big_r = mpmath.mpf(ball.center_dist), mpmath.mpf(ball.radius)
+            factor = {2: lambda t: t, 4: lambda t: t / 2 - mpmath.sin(2 * t) / 4}[d]
+
+            def cap(u):
+                r = u ** (1 / alpha)
+                cos_t = (a * a + r * r - big_r * big_r) / (2 * a * r)
+                return factor(mpmath.acos(max(-1, min(1, cos_t))))
+
+            total = mpmath.mpf(0)
+            for ann, coeff in profile.segments:
+                weight = abs(mpmath.mpf(coeff)) ** params.p
+                lo, hi = mpmath.mpf(ann.r_lo), mpmath.mpf(ann.r_hi)
+                top = min(hi, max(big_r - a, 0))
+                if top > lo:
+                    total += weight * sphere_area(d) / alpha * (top**alpha - lo**alpha)
+                s_lo, s_hi = max(lo, abs(big_r - a)), min(hi, big_r + a)
+                if s_hi > s_lo:
+                    total += weight * sphere_area(d - 1) / alpha * mpmath.quad(
+                        cap, [s_lo**alpha, s_hi**alpha])
+            return float(total)
+
+    @pytest.mark.parametrize("params, first_lo", [
+        (MorreyParams(1.5, 3.0, 4), 0.2),
+        (MorreyParams(1.5, 3.0, 2), 0.2),
+        (MorreyParams(1.0, 1.16, 2), 0.0),  # alpha = 0.28, from r = 0
+        (MorreyParams(1.0, 1.2, 4), 0.0),   # alpha = 0.67, from r = 0
+    ])
+    def test_matches_mpmath(self, params, first_lo):
+        mpmath = pytest.importorskip("mpmath")
+        profile = self._profile(params, first_lo)
+        for ball in self.HARD_BALLS + (Ball(0.5, 5e-4),):
+            exact = self._mpmath_mass(profile, ball, mpmath)
+            assert math.isclose(ball_p_integral(profile, ball), exact, rel_tol=1e-12), ball
+
+    def test_split_limit_names_the_ball(self, monkeypatch):
+        monkeypatch.setattr(numeric, "_CAP_SPLITS", 0)
+        params = MorreyParams(1.0, 1.16, 2)
+        ball = Ball(0.5, 0.5 * (1 + 1e-8))
+        with pytest.raises(NumericalFailure) as failure:
+            ball_p_integral(self._profile(params), ball)
+        message = str(failure.value)
+        for part in ("center_dist=0.5", f"radius={ball.radius!r}", "d=2",
+                     f"alpha={params.alpha!r}", "annulus (0.0, 0.7)"):
+            assert part in message
 
     def test_pure_power_offcenter_matches_mc(self):
         params = MorreyParams(1.0, 2.0, 2)
@@ -422,6 +496,20 @@ class TestMorreyNormsShared:
             morrey_norms_shared([self._profile(1.0, 1.0), other], FAST)
         with pytest.raises(ParameterError):
             morrey_norms_shared([], FAST)
+
+
+@pytest.mark.parametrize("n, d", [(7, 1), (7, 2), (8, 1), (8, 2)])
+def test_witness_patterns_equal_their_centered_sup(n, d):
+    # Annuli down to eps^(2^(n-1)): on no signed combination of the delta = 0.1
+    # witness family may the search land away from the closed-form centered
+    # supremum, neither above it nor below.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        family = build_witnesses(MorreyParams(1.0, 2.0, d), n, 0.1)
+    jobs = _combination_profiles(family)
+    reports = morrey_norms_shared([profile for _, profile in jobs], WITNESS_SEARCH)
+    for (pattern, profile), report in zip(jobs, reports):
+        assert math.isclose(report.value, centered_norm(profile).value, rel_tol=1e-12), pattern
 
 
 def _dense_objective(profiles, quad_points, a, big_r):

@@ -1,7 +1,6 @@
 """Start-up guarantee: morreykit and its CLI import numpy alone, and scipy
-is loaded only by the paths that need it (QUADPACK, by itself, for the
-adaptive cap quadrature of off-center d >= 2 balls, and the incomplete beta
-function for d >= 4).
+is loaded only by the one path that needs it, the incomplete beta function
+of the cap-angle factor for d >= 4.
 
 Each check runs in a fresh interpreter, since this test process has scipy
 loaded already."""
@@ -78,30 +77,24 @@ def test_centered_norm_and_d1_ball_load_no_scipy():
     assert loaded == [[]]
 
 
-def test_offcenter_d2_ball_loads_only_quadpack_on_first_use():
+def test_offcenter_d2_d3_balls_load_no_scipy():
     ball = Ball(0.8, 0.6)
-    expected = ball_p_integral(_cap_profile(2), ball)
-    *loaded, value = _run(f"""
+    expected = [ball_p_integral(_cap_profile(d), ball) for d in (2, 3)]
+    loaded, values = _run(f"""
         from morreykit import Annulus, Ball, MorreyParams, PiecewiseRadialPower
         from morreykit import ball_p_integral
-        from morreykit.numeric import _qagse
-        {PROFILE.format(d=2)}
-        print(_qagse.cache_info().currsize)
+        values = []
+        for d in (2, 3):
+            {PROFILE.format(d="d")}
+            ball = Ball({ball.center_dist!r}, {ball.radius!r})
+            values.append(ball_p_integral(profile, ball).hex())
         REPORT
-        value = ball_p_integral(profile, Ball({ball.center_dist!r}, {ball.radius!r}))
-        print(_qagse.cache_info().currsize)
-        REPORT
-        print(json.dumps(value.hex()))
+        print(json.dumps(values))
     """)
-    # QUADPACK is loaded at the first cap quadrature, without the
-    # scipy.integrate package and the subpackages it imports; its callback
-    # support loads the scipy package and scipy._lib.
-    before_size, before, after_size, after = loaded
-    assert (before_size, before, after_size) == (0, [], 1)
-    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",
-             "scipy.special")
-    assert [m for m in after if m.startswith(heavy)] == []
-    assert float.fromhex(value) == expected
+    # The cap quadrature is numpy's alone, and its values are the same in a
+    # fresh interpreter, bit for bit.
+    assert loaded == []
+    assert [float.fromhex(v) for v in values] == expected
 
 
 def test_d4_objective_loads_special_on_first_use():
