@@ -70,8 +70,6 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
                         help="grid points for the ball-center sweep")
     parser.add_argument("--radius-grid", type=int, default=None,
                         help="grid points for the ball-radius sweep")
-    parser.add_argument("--quad-points", type=int, default=None,
-                        help="Gauss-Legendre points per quadrature panel")
     parser.add_argument("--mc-samples", type=int, default=None,
                         help="Monte Carlo sample count")
     parser.add_argument("--seed", type=int, default=None,
@@ -83,7 +81,6 @@ def _resolve_config(args, base: numeric.SearchConfig) -> numeric.SearchConfig:
     for flag, field in (
         ("center_grid", "center_grid"),
         ("radius_grid", "radius_grid"),
-        ("quad_points", "quad_points"),
         ("mc_samples", "mc_samples"),
         ("seed", "rng_seed"),
     ):

@@ -34,7 +34,7 @@ from .numeric import SearchConfig, morrey_norms_shared
 #: Search resolution used for witness verification.  Combination profiles
 #: carry every annulus boundary in the grid, and the decisive centered balls
 #: are evaluated in closed form, so a moderate off-center lattice suffices.
-WITNESS_SEARCH = SearchConfig(center_grid=56, radius_grid=72, quad_points=20)
+WITNESS_SEARCH = SearchConfig(center_grid=56, radius_grid=72)
 
 JAMES = "james"
 VON_NEUMANN_JORDAN = "von_neumann_jordan"

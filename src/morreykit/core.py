@@ -3,7 +3,6 @@ balls, sign matrices, witness families."""
 
 import math
 import os
-import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -365,25 +364,10 @@ class WitnessFamily:
 
 
 def warn_if_underflow(params: MorreyParams, epsilon: float, num_annuli: int) -> None:
-    """Emit a warning when eps^(alpha*K) leaves the double range, or, for
-    d >= 2, when the innermost radius eps^K is so small that its square,
-    which the cap-angle cosine forms, is subnormal."""
-    log_eps = math.log(epsilon)
-    if params.alpha * num_annuli * log_eps < math.log(1e-300):
-        warnings.warn(
-            f"epsilon^(alpha*{num_annuli}) is below 1e-300; "
-            "annulus integrals will underflow 64-bit floats",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    if params.d >= 2 and num_annuli * log_eps < 0.5 * math.log(sys.float_info.min):
-        warnings.warn(
-            f"epsilon^{num_annuli} is below sqrt(DBL_MIN) ~ 1.5e-154; squared "
-            "radii in the cap-angle cosine are subnormal, so off-center "
-            "balls at the innermost annuli lose accuracy",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    """Emit a warning when eps^(alpha*K) leaves the double range."""
+    if params.alpha * num_annuli * math.log(epsilon) < math.log(1e-300):
+        warnings.warn(f"epsilon^(alpha*{num_annuli}) is below 1e-300; annulus integrals "
+                      "will underflow 64-bit floats", RuntimeWarning, stacklevel=3)
 
 
 @dataclass(frozen=True, eq=False)

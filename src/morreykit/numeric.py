@@ -39,16 +39,15 @@ from .core import (
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Resolution knobs for the supremum search and the quadratures."""
+    """Grid resolution of the supremum search, and Monte Carlo samples and seed."""
 
     center_grid: int = 200
     radius_grid: int = 200
-    quad_points: int = 24
     mc_samples: int = 1_000_000
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("center_grid", "radius_grid", "quad_points", "mc_samples"):
+        for name in ("center_grid", "radius_grid", "mc_samples"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1")
 
@@ -59,7 +58,7 @@ DEFAULT_SEARCH = SearchConfig()
 def sin_power_integral(m: int, t):
     """int_0^t sin(x)^m dx for t in [0, pi], vectorized in t.
 
-    m = 0 and m = 1 are elementary.  Otherwise (scipy.special is imported on
+    m = 0 and m = 1 (as 2 sin^2(t/2)) are elementary.  Otherwise (scipy.special is imported on
     the first call) it is an incomplete beta function in sin(t)^2 within pi/4
     of 0 or pi; nearer pi/2, where that one's derivative blows up, it is
     int_0^(pi/2) sin^m less int_0^(pi/2-t) cos^m, one in cos(t)^2.
@@ -70,7 +69,7 @@ def sin_power_integral(m: int, t):
     if m == 0:
         return t + 0.0
     if m == 1:
-        return 1.0 - np.cos(t)
+        return 2.0 * np.sin(0.5 * t) ** 2
     from scipy import special
 
     a, s2, c2 = 0.5 * (m + 1), np.sin(t) ** 2, np.cos(t) ** 2
@@ -125,7 +124,7 @@ _CAP_NODES, _CAP_RTOL, _CAP_SPLITS, _CAP_PANELS = 16, 1e-14, 60, 4096
 @functools.cache
 def _gauss_legendre(n: int):
     """n-point Gauss-Legendre nodes and weights on (0, 1), by Newton's method on
-    the Legendre recurrence: leggauss would cost numpy.polynomial and LAPACK."""
+    the Legendre recurrence, which needs neither numpy.polynomial nor LAPACK."""
     x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
     for _ in range(8):
         p_prev, p = np.ones(n), x
@@ -134,6 +133,13 @@ def _gauss_legendre(n: int):
         dp = n * (x * p - p_prev) / (x * x - 1.0)
         x = x - p / dp
     return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * dp * dp)
+
+
+def _window_ends(s, big, small):
+    """Distances s - w_lo, w_hi - s of radii s to the window (big - small, big + small),
+    clipped at 0; exact big - small if big <= 2 small, else s - big (Sterbenz)."""
+    e_lo = np.where(big <= 2.0 * small, s - (big - small), (s - big) + small)
+    return np.maximum(e_lo, 0.0), np.maximum((big - s) + small, 0.0)
 
 
 def _window_angle(e_lo, e_hi, r, w_lo, w_hi, outside):
@@ -188,9 +194,9 @@ def _cap_mass(params, a, big_r, ann_lo, ann_hi, cp):
     w_lo, w_hi = big - small, big + small
     s_lo, s_hi = np.maximum(ann_lo, w_lo), np.minimum(ann_hi, w_hi)
 
-    def angle(s):  # (s - big) + small keeps the digits that fl(big - small) drops
-        return 2.0 * np.arctan2(np.sqrt(np.maximum((s - big) + small, 0.0)),
-                                np.sqrt(np.maximum((big - s) + small, 0.0)))
+    def angle(s):
+        e_lo, e_hi = _window_ends(s, big, small)
+        return 2.0 * np.arctan2(np.sqrt(e_lo), np.sqrt(e_hi))
     lo, hi = np.where(s_lo > w_lo, angle(s_lo), 0.0), angle(s_hi)
     # From the window's lower end, r^(alpha-1) ~ phi^(2 alpha - 1) as R -> a,
     # too steep for bisection when alpha < 1: phi = t^(1/alpha) makes it ~ t.
@@ -305,23 +311,19 @@ def monotone_profile_check(profile: PiecewiseRadialPower) -> bool:
 # --- vectorized objective over batches of balls -----------------------------
 
 
-#: Balls per block of _BatchObjective.__call__, and (pair, node) panel
-#: points per cap-angle block.  A block's temporaries then stay near 140 kB
+#: Balls per block of _BatchObjective.__call__, and (piece, node) points
+#: per cap block.  A block's temporaries then stay near 140 kB
 #: (1024 balls x 17 profiles) and 56 kB, small enough to stay in cache and to
 #: come back from the heap on the next block rather than being mapped and
 #: faulted in afresh, and trimmed again, by every call.
 _BALL_BLOCK = 1024
 _PANEL_BLOCK = 7168
 
-#: Least relative slack of the grid's floor (see morrey_norms_shared): a
-#: grid ball is scored only when its mass bound reaches the mass that a
-#: Morrey quantity of (1 - slack) times the best centered grid value needs.
-#: The slack covers the batched masses' overshoot of the exact masses that
-#: mass_bound bounds.  That overshoot is the Gauss-Legendre error of the
-#: cap-angle factor, worst for thin balls in d = 2, where the factor is a
-#: semicircle in u and Q nodes overshoot it by up to 0.5 / Q^3 (6e-5 at 20
-#: nodes, 0.27 at 1).  So the slack is the larger of this constant and Q^-3.
-_FLOOR_SLACK = 1e-3
+#: Relative slack of the grid's floor (see morrey_norms_shared), and the cap
+#: nodes of _BatchObjective, whose overshoot of exact values the slack covers:
+#: 8 nodes are off the adaptive integral by 5.8e-5 at most on the tests' d = 2, 3
+#: probes with R >= 1e-12 a, and above the mass bound by 1.5e-5 on their grids.
+_FLOOR_SLACK, _PIECE_NODES = 1e-3, 8
 
 #: (ball, profile) cells per block of _BatchObjective.reachable, whose
 #: blocks hold at least _BALL_BLOCK balls.  One profile gets 4096 balls per
@@ -344,27 +346,25 @@ class _BatchObjective:
     precomputed (K+1) x P prefix sums of whole-annulus masses plus one
     partial annulus.  Inside the window only the annuli that meet it carry
     mass, a contiguous index range because the annuli are sorted; those
-    (ball, annulus) pairs are listed ball by ball and each gets fixed-order
-    Gauss-Legendre on its cap-angle factor (after the u = r^alpha
-    substitution), and a segment sum (np.bincount over (ball, profile)
-    bins) adds pair masses times |coeff|^p back to the balls.  So a ball
-    costs O(P) plus its active pairs, and only the cap-angle factor of
-    d >= 4 needs scipy (sin_power_integral).  For d = 1 the folded interval
-    (a - R, a + R) is twice the full part plus the window, whose cap factor
-    is exactly 1.  Calls are scored in blocks of _BALL_BLOCK balls and cap
-    panels in blocks of _PANEL_BLOCK points, with a block's arrays updated
-    in place, and every sum runs in a fixed order, so a ball's value does
-    not depend on the call or block it comes in.  Accuracy only has to be
-    good enough to find the right ball: the search re-scores each winner
-    with the adaptive integral and reports
-    abs_uncertainty = max(|batched value - rescored value|, 1e-9 * value).
+    (ball, annulus) pairs are listed ball by ball and each pair's piece of
+    the window gets a fixed rule (_cap_masses), and a segment sum
+    (np.bincount over (ball, profile) bins) adds pair masses times |coeff|^p
+    back to the balls.  So a ball costs O(P) plus its active pairs, and only
+    the cap-angle factor of d >= 4 needs scipy (sin_power_integral).  For
+    d = 1 the folded interval (a - R, a + R) is twice the full part plus the
+    window, whose cap factor is exactly 1.  Calls are scored in blocks of
+    _BALL_BLOCK balls and cap pieces in blocks of _PANEL_BLOCK points, and
+    every sum runs in a fixed order, so a ball's value does not depend on the
+    call or block it comes in.  Accuracy only has to find the right ball
+    (_FLOOR_SLACK): the search re-scores each winner with the adaptive
+    integral, abs_uncertainty = max(|batched - rescored value|, 1e-9 value).
 
     mass_bound gives an upper bound on every ball's mass in O(P), with no
     cap panels, and reachable uses it to tell which balls can reach given
     Morrey quantities at all.
     """
 
-    def __init__(self, profiles, quad_points: int):
+    def __init__(self, profiles):
         params = profiles[0].params
         self.d = params.d
         self.p, self.q = params.p, params.q
@@ -377,20 +377,18 @@ class _BatchObjective:
         self.cp = np.ascontiguousarray(
             np.abs(np.array([pr.coefficients for pr in profiles]).T) ** params.p)
         self.vol_coeff = params.sphere_area / self.d
-        nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-        self.nodes = 0.5 * (nodes + 1.0)
-        self.weights = 0.5 * weights
+        self.nodes, weights = _gauss_legendre(_PIECE_NODES)
         u_lo = _log_pow(self.lo, self.alpha)
         whole = ((_log_pow(self.hi, self.alpha) - u_lo) / self.alpha)[:, None] * self.cp
         self.prefix = np.cumsum(np.vstack([np.zeros_like(self.cp[:1]), whole]), axis=0)
         # One sentinel annulus past the last, empty, for balls that hold all.
         self.u_lo_ext = np.append(u_lo, np.inf)
         self.cp_ext = np.vstack([self.cp, np.zeros_like(self.cp[:1])])
-        if self.d == 1:
-            self.full_factor, self.cap_factor = 2.0, 1.0 / self.alpha
-        else:
-            self.full_factor = sphere_area(self.d)
-            self.cap_factor = sphere_area(self.d - 1) / self.alpha
+        self.full_factor = 2.0 if self.d == 1 else sphere_area(self.d)
+        # _cap_masses' factors (d >= 2): 32 small from dr, 2 from theta/2 (d = 2)
+        # or T / (1 + T) (d = 3), and P = 1 + 1/alpha from t dt/dy when alpha < 1.
+        self.cap_weights = (64.0 if self.d <= 3 else 32.0) * sphere_area(max(self.d - 1, 1)) \
+            * (1.0 + 1.0 / self.alpha if self.alpha < 1.0 else 1.0) * weights
         # For mass_bound, with a sentinel annulus K that holds nothing: in
         # row k of peak_after, the largest density |c_k'|^p lo_k'^(-dp/q)
         # over the annuli k' > k, divided by its bound lo_(k+1)^(-dp/q),
@@ -507,40 +505,64 @@ class _BatchObjective:
         indptr = np.concatenate(([0], np.cumsum(counts)))
         ball = np.repeat(np.arange(a.size), counts)
         ann = np.arange(ball.size) - indptr[ball] + first[ball]
-        s_lo = np.maximum(self.lo[ann], w_lo[ball])
-        s_hi = np.minimum(self.hi[ann], w_hi[ball])
-        u_lo = _log_pow(s_lo, self.alpha)
-        width = np.clip(_log_pow(s_hi, self.alpha) - u_lo, 0.0, None)
-        if self.d >= 2:
-            angle = np.empty(ball.size)
-            step = max(1, _PANEL_BLOCK // self.nodes.size)
-            for start in range(0, ball.size, step):
-                part = slice(start, start + step)
-                angle[part] = self._cap_angle(u_lo[part], width[part],
-                                              a[ball[part]], big_r[ball[part]])
-            width = width * angle
-        return ball, ann, self.cap_factor * width
+        ends = np.empty((2, ball.size))
+        np.maximum(self.lo[ann], w_lo[ball], out=ends[0])
+        np.minimum(self.hi[ann], w_hi[ball], out=ends[1])
+        if self.d == 1:
+            u = _log_pow(ends, self.alpha)
+            return ball, ann, np.clip(u[1] - u[0], 0.0, None) / self.alpha
+        return ball, ann, self._cap_masses(a[ball], big_r[ball], ends)
 
-    def _cap_angle(self, u_lo, width, a, big_r):
-        """Mean cap-angle factor over each pair's u-panel, by Gauss-Legendre."""
-        r = width[:, None] * self.nodes  # (pairs, Q), updated in place
-        r += u_lo[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r **= 1.0 / self.alpha
-            cos_half = r * r
-            cos_half += (a * a)[:, None]
-            cos_half -= (big_r * big_r)[:, None]
-            r *= (2.0 * a)[:, None]
-            cos_half /= r
-        # Zero-width panels can produce 0/0 above; any value works there
-        # because the panel weight is zero.  fmin maps NaN to 1, and with
-        # fmax it clips to [-1, 1].
-        np.fmin(cos_half, 1.0, out=cos_half)
-        np.fmax(cos_half, -1.0, out=cos_half)
-        theta = np.arccos(cos_half, out=cos_half)
-        # einsum, not a BLAS matvec: each row's sum has one fixed order, so a
-        # pair's factor does not depend on the block it is scored in.
-        return np.einsum("ij,j->i", sin_power_integral(self.d - 2, theta), self.weights)
+    def _cap_masses(self, a, big_r, ends):
+        """d >= 2: omega_(d-1) int r^(alpha-1) S_(d-2)(theta) dr over the window
+        pieces (ends[0], ends[1]) of the balls B(a, R), by Gauss-Legendre on
+        _cap_mass's r = w_lo + W sin^2(phi/2) in t = tan(phi/4).  With W = 2 small,
+        s = t / (1 + t^2), c = (1 - t^2) / (2 + 2 t^2), g = (big - small) / 4 small:
+        r - w_lo = 4 W s^2, w_hi - r = 4 W c^2, dr = 16 W s c dt / (1 + t^2), and
+        tan^2(theta/2) = c^2 (s^2 + g_in) / ((s^2 + g_out) (s^2 + big / 4 small))
+        (_window_angle), (g_in, g_out) = (g, 0) if R >= a else (0, g): ratios, no
+        trig and no cancelling difference.  When alpha < 1 the nodes are in y,
+        (z0 + y^2)^P = g + t^2 with P = 1 + 1/alpha and z0 = g^(1/P), where
+        r^(alpha-1) t dt is P y (z0 + y^2)^alpha dy up to a smooth factor."""
+        big, small = np.maximum(a, big_r), np.minimum(a, big_r)
+        e_lo, e_hi = _window_ends(ends, big, small)
+        t = np.sqrt(e_lo) / (np.sqrt(e_hi) + np.sqrt(2.0 * small))
+        g = 0.25 * (big - small) / small
+        cols = [g * (big_r >= a), g * (big_r < a), 0.25 * big / small, 0.5 * g]
+        scale = small * (8.0 * small) ** (self.alpha - 1.0)  # r = 8 small (s^2 + g/2)
+        if self.alpha < 1.0:  # g > 0 keeps y defined at R = a
+            power, g = 1.0 + 1.0 / self.alpha, np.maximum(g, 1e-300)
+            z0 = g ** (1.0 / power)
+            t = np.sqrt(z0 * np.expm1(np.log1p(t * t / g) / power))
+            cols, scale = cols + [1.0 / z0, g], scale / z0
+        lo, span = t[0], t[1] - t[0]
+        out = np.empty(a.size)
+        for first in range(0, a.size, _PANEL_BLOCK // _PIECE_NODES):
+            part = slice(first, first + _PANEL_BLOCK // _PIECE_NODES)
+            g_in, g_out, big_q, half_g, *graded = (col[part, None] for col in cols)
+            y = lo[part, None] + span[part, None] * self.nodes
+            t2 = y * y
+            if graded:  # t dt/dy = P y (g + t^2) / (z0 + y^2)
+                u = t2 * graded[0]
+                t2 = np.expm1(np.log1p(u) * power) * graded[1]
+                y *= (t2 + graded[1]) / (u + 1.0)
+            v = 1.0 / (t2 + 1.0)
+            s2 = t2 * v * v
+            c = v - 0.5
+            f = v * v * c * y
+            if self.alpha != 1.0:
+                f *= (s2 + half_g) ** (self.alpha - 1.0)
+            num = (s2 + g_in) * (c * c)
+            den = (s2 + g_out) * (s2 + big_q)
+            if self.d == 3:  # 1 - cos(theta) = 2 T / (1 + T), T = tan^2(theta/2)
+                f *= num / (num + den)
+            else:
+                half = np.arctan(np.sqrt(num / den))
+                f *= half if self.d == 2 else sin_power_integral(self.d - 2, 2.0 * half)
+            # einsum, not a BLAS matvec: each row's sum has one fixed order, so
+            # a piece's mass does not depend on the block it is scored in.
+            out[part] = np.einsum("ij,j->i", f, self.cap_weights)
+        return out * span * scale
 
 
 def _radius_grid(profile: PiecewiseRadialPower, cfg: SearchConfig) -> np.ndarray:
@@ -590,12 +612,9 @@ def morrey_norms_shared(profiles, cfg: SearchConfig = DEFAULT_SEARCH) -> list:
     the row's, and a ball's batched value does not depend on the call it
     comes in, so a skipped ball could neither win nor tie with the winner:
     the grid winner is the one that scoring every ball would find.  That
-    holds wherever batched masses exceed exact ones by less than the slack.
-    Where the cap angle loses its digits, on balls far thinner than their
-    distance from the origin and on subnormal squared radii, they can
-    exceed them by orders of magnitude, and the bound skips such balls.  On
-    single random profiles about 90% of the grid is skipped, on witness
-    families about 70%.
+    holds wherever batched masses exceed exact ones by less than the slack,
+    as on every d >= 2 grid ball of the tests (_FLOOR_SLACK).  It skips
+    about 90% of a single random profile's grid, 70% of a witness family's.
 
     Each profile keeps its own best ball, which _refine improves in batched
     rounds; the grid ball and the refined ball are re-scored with the
@@ -613,7 +632,7 @@ def morrey_norms_shared(profiles, cfg: SearchConfig = DEFAULT_SEARCH) -> list:
     if profiles[0].is_pure_power:
         return [centered_norm(profiles[0])] * len(profiles)
 
-    objective = _BatchObjective(profiles, cfg.quad_points)
+    objective = _BatchObjective(profiles)
     radii = _radius_grid(profiles[0], cfg)
     centers = _center_grid(profiles[0], cfg)
     columns = np.arange(len(profiles))
@@ -624,8 +643,7 @@ def morrey_norms_shared(profiles, cfg: SearchConfig = DEFAULT_SEARCH) -> list:
     aa, rr = np.meshgrid(centers, radii, indexing="ij")
     aa, rr = aa.ravel(), rr.ravel()
     # The first grid row is the centered balls, with no window to score.
-    slack = max(_FLOOR_SLACK, cfg.quad_points ** -3.0)
-    floor = (1.0 - slack) * objective(aa[:radii.size], rr[:radii.size]).max(axis=0)
+    floor = (1.0 - _FLOOR_SLACK) * objective(aa[:radii.size], rr[:radii.size]).max(axis=0)
     kept = np.flatnonzero(objective.reachable(aa, rr, floor))
     chunk = 8192
     for start in range(0, kept.size, chunk):

@@ -86,9 +86,10 @@ class TestNorm:
 
     def test_search_flags(self, capsys, annulus_doc):
         code, out, _ = run(capsys, "norm", annulus_doc, "--method", "numeric",
-                           "--center-grid", "30", "--radius-grid", "30",
-                           "--quad-points", "8")
+                           "--center-grid", "30", "--radius-grid", "30")
         assert code == 0
+        code, _, err = run(capsys, "norm", annulus_doc, "--quad-points", "8")
+        assert code == 2 and "--quad-points" in err
 
 
 class TestWitness:

@@ -100,13 +100,7 @@ class TestBuildWitnesses:
         with pytest.warns(RuntimeWarning):
             build_witnesses(MorreyParams(1.0, 3.0, 3), 11, 0.5, epsilon=0.677)
 
-    def test_subnormal_squared_radius_warning(self):
-        # d = 2, n = 8: eps^K ~ 3e-167 is a normal double, but its square,
-        # which the cap-angle cosine forms, is not
-        with pytest.warns(RuntimeWarning, match="sqrt"):
-            build_witnesses(MorreyParams(1, 2, 2), 8, 0.1)
-
-    @pytest.mark.parametrize("d,n,delta", [(2, 5, 0.005), (1, 8, 0.1)])
+    @pytest.mark.parametrize("d,n,delta", [(2, 5, 0.005), (1, 8, 0.1), (2, 8, 0.1)])
     def test_no_warning_above_the_limits(self, d, n, delta):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

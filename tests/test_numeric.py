@@ -1,4 +1,5 @@
 import decimal
+import functools
 import math
 import warnings
 
@@ -29,10 +30,11 @@ from morreykit import (
 )
 from morreykit.constants import WITNESS_SEARCH, _combination_profiles, build_witnesses
 from morreykit import numeric
+from morreykit.closedform import morrey_quantity
 from morreykit.numeric import _BALL_BLOCK, _BatchObjective
 from morreykit.sampling import random_bounded_profile, random_params
 
-FAST = SearchConfig(center_grid=60, radius_grid=60, quad_points=20)
+FAST = SearchConfig(center_grid=60, radius_grid=60)
 
 
 class TestSinPowerIntegral:
@@ -50,6 +52,12 @@ class TestSinPowerIntegral:
         t = np.linspace(0.0, math.pi, 101)
         assert np.allclose(sin_power_integral(0, t), t)
         assert np.allclose(sin_power_integral(1, t), 1.0 - np.cos(t))
+
+    def test_m1_keeps_its_digits_near_zero(self):
+        # 1 - cos t would be 2.9e-13, 5.2e-9 and 8.9e-5 off here
+        for t in (1e-2, 1e-4, 1e-6):
+            exact = 2.0 * math.sin(0.5 * t) ** 2
+            assert math.isclose(float(sin_power_integral(1, t)), exact, rel_tol=1e-15)
 
     def test_rejects_negative_power(self):
         with pytest.raises(ParameterError):
@@ -288,6 +296,20 @@ class TestBallPIntegral:
             exact = self._mpmath_mass(profile, ball, mpmath)
             assert math.isclose(ball_p_integral(profile, ball), exact, rel_tol=1e-12), ball
 
+    @pytest.mark.parametrize("q", [1.1, 2.0])
+    @pytest.mark.parametrize("s", [1e-10, 1e-13, 1e-16])
+    def test_window_end_at_r_equal_a(self, q, s):
+        # R = a puts the window's lower end at 0, far below the scale of a,
+        # and theta = acos(r / 2a) on the annulus (s, 2s).
+        mpmath = pytest.importorskip("mpmath")
+        params = MorreyParams(1.0, q, 2)
+        profile = PiecewiseRadialPower(params, ((Annulus(s, 2.0 * s), 1.0),))
+        with mpmath.workdps(30):
+            alpha = 2 * (1 - mpmath.mpf(1) / q)
+            exact = 2 * mpmath.quad(lambda r: r ** (alpha - 1) * mpmath.acos(r), [s, 2 * s])
+        assert math.isclose(ball_p_integral(profile, Ball(0.5, 0.5)), float(exact),
+                            rel_tol=1e-12)
+
     def test_split_limit_names_the_ball(self, monkeypatch):
         monkeypatch.setattr(numeric, "_CAP_SPLITS", 0)
         params = MorreyParams(1.0, 1.16, 2)
@@ -512,10 +534,15 @@ def test_witness_patterns_equal_their_centered_sup(n, d):
         assert math.isclose(report.value, centered_norm(profile).value, rel_tol=1e-12), pattern
 
 
-def _dense_objective(profiles, quad_points, a, big_r):
+def _dense_objective(profiles, a, big_r):
     """Reference for the batched objective: every annulus for every ball,
-    as (balls x K) closed-form interval masses plus dense (balls x K x Q)
-    Gauss-Legendre cap panels, then one matmul with the |coeff|^p columns."""
+    as (balls x K) closed-form interval masses plus, for d >= 2, dense
+    (balls x K x Q) cap pieces, then one matmul with the |coeff|^p columns.
+    The cap pieces take the batched rule in its trigonometric form:
+    Q-point Gauss-Legendre in t = tan(phi/4) on r = w_lo + W sin^2(phi/2),
+    in units of w_hi, with sin(phi/2) and cos(phi/2) from np.sin and np.cos;
+    when alpha < 1, in y with (z0 + y^2)^P = g + t^2, P = 1 + 1/alpha,
+    z0 = g^(1/P) and g = w_lo / 2W instead."""
     params = profiles[0].params
     d, p, q, alpha = params.d, params.p, params.q, params.alpha
     lo = np.array([ann.r_lo for ann, _ in profiles[0].segments])
@@ -535,20 +562,42 @@ def _dense_objective(profiles, quad_points, a, big_r):
         per_annulus = interval(np.maximum(a - big_r, 0.0), a + big_r) \
             + interval(np.zeros_like(a), big_r - a)
     else:
-        u_lo = upow(np.maximum(lo[None, :], np.abs(big_r - a)[:, None]))
-        width = np.clip(upow(np.minimum(hi[None, :], (big_r + a)[:, None])) - u_lo,
-                        0.0, None)
-        active = (width > 0.0) & (a[:, None] > 0.0)
-        nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-        u = u_lo[..., None] + width[..., None] * 0.5 * (nodes + 1.0)
+        big, small = np.maximum(a, big_r)[:, None], np.minimum(a, big_r)[:, None]
+        w_hi, width = big + small, 2.0 * small / (big + small)
+        w_lo = (big - small) / w_hi
+        s_lo = np.maximum(lo[None, :], np.abs(big_r - a)[:, None])
+        s_hi = np.minimum(hi[None, :], (big_r + a)[:, None])
+        active = (s_hi > s_lo) & (a[:, None] > 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = u ** (1.0 / alpha)
-            cos_half = (a[:, None, None] ** 2 + r * r - big_r[:, None, None] ** 2) \
-                / (2.0 * a[:, None, None] * r)
-        cos_half = np.nan_to_num(cos_half, nan=1.0, posinf=1.0, neginf=-1.0)
-        angle = sin_power_integral(d - 2, np.arccos(np.clip(cos_half, -1.0, 1.0)))
-        panel = (angle @ (0.5 * weights)) * width * active
-        per_annulus = sphere_area(d - 1) / alpha * panel + sphere_area(d) \
+            offset = np.maximum(0.5 * w_lo / width, 1e-300)[..., None]
+            power = 1.0 + 1.0 / alpha
+            z0 = offset ** (1.0 / power)
+            ends = []
+            for s in (s_lo, s_hi):
+                e_lo, e_hi = numeric._window_ends(s, big, small)
+                t = np.tan(0.5 * np.arctan2(np.sqrt(e_lo), np.sqrt(e_hi)))[..., None]
+                if alpha < 1.0:
+                    t = np.sqrt(z0 * np.expm1(np.log1p(t * t / offset) / power))
+                ends.append(t)
+            nodes, weights = np.polynomial.legendre.leggauss(numeric._PIECE_NODES)
+            y = ends[0] + (ends[1] - ends[0]) * 0.5 * (nodes + 1.0)
+            if alpha < 1.0:
+                t = np.sqrt(offset * np.expm1(power * np.log1p(y * y / z0)))
+                dt_dy = power * y * (offset + t * t) / (z0 + y * y) / t
+            else:
+                t, dt_dy = y, 1.0
+            half = 2.0 * np.arctan(t)
+            e_lo = width[..., None] * np.sin(half) ** 2
+            e_hi = width[..., None] * np.cos(half) ** 2
+            r = w_lo[..., None] + e_lo
+            theta = np.where((big_r < a)[:, None, None],
+                             *(numeric._window_angle(e_lo, e_hi, r, w_lo[..., None], 1.0,
+                                                     outside) for outside in (True, False)))
+            f = (r ** (alpha - 1.0) * sin_power_integral(d - 2, theta)
+                 * 0.5 * width[..., None] * np.sin(2.0 * half) * 4.0 / (1.0 + t * t) * dt_dy)
+            piece = (ends[1] - ends[0])[..., 0] * (f @ (0.5 * weights)) * upow(w_hi)
+        piece = np.where(active, piece, 0.0)
+        per_annulus = sphere_area(d - 1) * piece + sphere_area(d) \
             * interval(np.zeros_like(a), np.maximum(big_r - a, 0.0))
     mass = per_annulus @ cp
     volume = params.sphere_area / d * big_r ** d
@@ -607,12 +656,46 @@ def _objective_cases():
                            id=f"random-{k}-d{params.d}")
 
 
+#: The d >= 2 cases of _objective_cases, built once for the tests that share
+#: their adaptive masses.
+_CAP_CASES = [case for case in _objective_cases() if case.values[0][0].params.d >= 2]
+
+
+@functools.cache
+def _adaptive_masses(profile):
+    """ball_p_integral of the profile on each of its probe balls."""
+    return np.array([ball_p_integral(profile, Ball(a, big_r))
+                     for a, big_r in zip(*_probe_balls(profile))])
+
+
+@pytest.mark.parametrize("profiles", _CAP_CASES)
+def test_adaptive_integral_runs_on_every_probe(profiles):
+    # R = a, thin balls, and window ends on boundaries far below the scale
+    # of the ball: the cap quadrature converges on all of them.
+    masses = _adaptive_masses(profiles[0])
+    assert np.all(np.isfinite(masses) & (masses >= 0.0))
+
+
 class TestBatchObjective:
+    @pytest.mark.parametrize("profiles", _CAP_CASES)
+    def test_matches_adaptive_integral(self, profiles):
+        # The floor slack of the search covers the batched values' error.
+        # The cap pieces of balls thinner than 1e-12 of their distance from
+        # the origin carry too little of the mass to compare.
+        profile = profiles[0]
+        a, big_r = _probe_balls(profile)
+        got = _BatchObjective([profile])(a, big_r)[:, 0]
+        mass = _adaptive_masses(profile)
+        exact = np.array([morrey_quantity(profile.params, r, m) if m > 0.0 else 0.0
+                          for r, m in zip(big_r, mass)])
+        keep = big_r >= 1e-12 * a
+        assert np.all(np.abs(got - exact)[keep] <= numeric._FLOOR_SLACK * exact[keep])
+
     @pytest.mark.parametrize("profiles", list(_objective_cases()))
     def test_matches_dense_reference(self, profiles):
         a, big_r = _probe_balls(profiles[0])
-        got = _BatchObjective(profiles, 20)(a, big_r)
-        ref = _dense_objective(profiles, 20, a, big_r)
+        got = _BatchObjective(profiles)(a, big_r)
+        ref = _dense_objective(profiles, a, big_r)
         assert got.shape == ref.shape == (a.size, len(profiles))
         assert np.array_equal(got == 0.0, ref == 0.0)
         assert np.all(np.abs(got - ref) <= 1e-12 * ref)
@@ -624,7 +707,7 @@ class TestBatchObjective:
         size = 2 * _BALL_BLOCK + 500
         order = np.random.default_rng(5).permutation(np.resize(np.arange(a.size), size))
         a, big_r = a[order], big_r[order]
-        objective = _BatchObjective(profiles, 20)
+        objective = _BatchObjective(profiles)
         whole = objective(a, big_r)
         cuts = [0, 1, 8, 300, _BALL_BLOCK + 300, size]
         parts = [objective(a[i:j], big_r[i:j]) for i, j in zip(cuts, cuts[1:])]
@@ -636,7 +719,7 @@ class TestBatchObjective:
         # P profiles on the case's annuli, with distinct |coeff|^p columns.
         profiles = [profiles[k % len(profiles)].scale_coefficients((-1) ** k * (1.0 + k / 8))
                     for k in range(columns)]
-        objective = _BatchObjective(profiles, 20)
+        objective = _BatchObjective(profiles)
         a, big_r = _probe_balls(profiles[0])
         ball, ann, mass = objective._window_pairs(a, big_r)
         # Row i of this (balls x K) CSR matrix holds ball i's pair masses.
@@ -656,10 +739,23 @@ class TestBatchObjective:
         assert np.sum(exact & (big_r > a)) >= 100
         assert np.sum(exact & (big_r < a)) >= 100
 
+    def test_deep_balls_at_small_alpha(self):
+        # Balls with R = a from 1e-250 down to 1e-300 inside the first
+        # annulus, alpha = 0.26: dilations of one ball, so one value, which
+        # r^(alpha - 1) formed from radii that underflow would make 0.
+        profile = PiecewiseRadialPower(MorreyParams(1.0, 1.15, 2), (
+            (Annulus(0.0, 1e-150), 1.0), (Annulus(1e-150, 1.0), -2.0)))
+        a = np.array([1e-250, 1e-280, 2.1e-292, 1e-300])
+        got = _BatchObjective([profile])(a, a)[:, 0]
+        exact = numeric._rescore(profile, Ball(a[0], a[0]))
+        assert np.allclose(got, got[0], rtol=1e-12, atol=0.0)
+        assert abs(got[0] - exact) <= numeric._FLOOR_SLACK * exact
+
     def test_keeps_attributes_read_by_tracers(self):
         objective = _BatchObjective([PiecewiseRadialPower.power_restriction(
-            MorreyParams(1.0, 2.0, 2), 0.5, 1.0)], 7)
-        assert (objective.lo.size, objective.nodes.size, objective.d) == (1, 7, 2)
+            MorreyParams(1.0, 2.0, 2), 0.5, 1.0)])
+        assert (objective.lo.size, objective.d) == (1, 2)
+        assert objective.nodes.size == numeric._PIECE_NODES
 
 
 def _grid(profile, cfg):
@@ -689,10 +785,7 @@ def _bound_cases():
     yield pytest.param([_zero_core_profile()], SearchConfig(), id="zero-core")
     for d in (1, 2):
         for n in range(3, 9):
-            with warnings.catch_warnings():
-                # the deep-radius warning of n = 8; see test_bounds_every_grid_ball
-                warnings.simplefilter("ignore", RuntimeWarning)
-                family = build_witnesses(MorreyParams(1.0, 2.0, d), n, 0.1)
+            family = build_witnesses(MorreyParams(1.0, 2.0, d), n, 0.1)
             profiles = [pr for _, pr in _combination_profiles(family)]
             yield pytest.param(profiles + [family.functions[0]], WITNESS_SEARCH,
                                id=f"witness-d{d}-n{n}")
@@ -703,28 +796,31 @@ class TestMassBound:
     def test_bounds_every_grid_ball(self, profiles, cfg):
         # In quantity terms: the Morrey quantity that a ball holding the
         # bound's mass would have is at least the ball's batched value, up
-        # to the Gauss-Legendre overshoot of the cap-angle factor in d >= 2
-        # (at most 0.5 / Q^3), which the search's floor slack covers.
-        objective = _BatchObjective(profiles, cfg.quad_points)
+        # to the batched masses' quadrature error in d >= 2, which the
+        # search's floor slack covers.
+        objective = _BatchObjective(profiles)
         aa, rr = _grid(profiles[0], cfg)
         value = objective(aa, rr)
         with np.errstate(divide="ignore"):
             bound = np.exp(np.log(objective.mass_bound(aa, rr)) / objective.p
                            + ((1.0 / objective.q - 1.0 / objective.p)
                               * objective._log_ball(rr))[:, None])
-        slack = 1e-12 + (0.5 * cfg.quad_points ** -3.0 if objective.d >= 2 else 0.0)
-        # Two kinds of grid balls where the batched value, not the bound,
-        # loses digits.  Balls far thinner than their distance from the
-        # origin lose them to cancellation in the cap angle and the window
-        # width: an error of at most 1e-5 of the largest value, far below
-        # the floor.  Balls with a subnormal squared center distance or
-        # radius lose them in the cap angle's cosine: the deep-radius defect
-        # of the witnesses at n = 8, left out here.
-        deep = (aa > 0.0) & (np.minimum(aa, rr) < 1.5e-154)
-        thin = (rr < 1e-3 * aa)[:, None]
-        noise = np.where(thin, 1e-5 * value.max(axis=0), 0.0)
+        slack, noise = numeric._FLOOR_SLACK, 0.0
+        if objective.d == 1:
+            # The d = 1 window (a - R, a + R) of a ball far thinner than its
+            # distance from the origin loses R to rounding: an error of at
+            # most 1e-5 of the largest value, far below the floor.
+            slack = 1e-12
+            noise = np.where((rr < 1e-3 * aa)[:, None], 1e-5 * value.max(axis=0), 0.0)
         holds = (value <= bound * (1.0 + slack) + noise) | np.isnan(bound)
-        assert np.all(holds[~deep])
+        assert np.all(holds)
+
+    @pytest.mark.parametrize("profiles, cfg", list(_bound_cases()))
+    def test_reports_reach_the_centered_norm(self, profiles, cfg):
+        # The grid holds the centered supremum's ball, and the report
+        # re-scores the winner, so no report falls below the centered norm.
+        for profile, report in zip(profiles, morrey_norms_shared(profiles, cfg)):
+            assert report.value >= centered_norm(profile).value * (1.0 - 1e-12)
 
     def test_bound_is_dilation_invariant(self):
         # Morrey quantities do not change when the annuli and the ball are
@@ -739,7 +835,7 @@ class TestMassBound:
         aa, rr = _grid(base, FAST)
         quantities = []
         for profile, a, big_r in ((base, aa, rr), (small, aa * scale, rr * scale)):
-            objective = _BatchObjective([profile], 20)
+            objective = _BatchObjective([profile])
             with np.errstate(divide="ignore"):
                 quantities.append(np.log(objective.mass_bound(a, big_r)) / objective.p
                                   + (1.0 / objective.q - 1.0 / objective.p)
@@ -748,7 +844,7 @@ class TestMassBound:
 
     def test_nan_bound_keeps_its_ball(self):
         profile = _zero_core_profile()
-        objective = _BatchObjective([profile], 20)
+        objective = _BatchObjective([profile])
         aa, rr = _grid(profile, SearchConfig())
         no_bound = np.isnan(objective.mass_bound(aa, rr)).any(axis=1)
         assert np.any(no_bound) and np.all(rr[no_bound] == aa[no_bound])
@@ -768,7 +864,7 @@ class TestMassBound:
         morrey_norms_shared(profiles, cfg)
         # Every grid ball scored; np.argmax keeps the first of tied balls,
         # as the search's strict comparison across chunks does.
-        objective = _BatchObjective(profiles, cfg.quad_points)
+        objective = _BatchObjective(profiles)
         aa, rr = _grid(profiles[0], cfg)
         values = np.concatenate([objective(aa[i:i + 8192], rr[i:i + 8192])
                                  for i in range(0, aa.size, 8192)])
@@ -780,7 +876,8 @@ class TestMassBound:
 
 
 def test_search_config_validation():
-    with pytest.raises(ParameterError):
-        SearchConfig(center_grid=0)
-    with pytest.raises(ParameterError):
-        SearchConfig(quad_points=0)
+    for name in ("center_grid", "radius_grid", "mc_samples"):
+        with pytest.raises(ParameterError):
+            SearchConfig(**{name: 0})
+    with pytest.raises(TypeError):
+        SearchConfig(quad_points=8)

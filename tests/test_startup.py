@@ -1,6 +1,6 @@
-"""Start-up guarantee: morreykit and its CLI import numpy alone, and scipy
-is loaded only by the one path that needs it, the incomplete beta function
-of the cap-angle factor for d >= 4.
+"""Start-up guarantee: morreykit and its CLI import numpy alone, scipy is
+loaded only by the one path that needs it, the incomplete beta function of
+the cap-angle factor for d >= 4, and numpy.polynomial by none.
 
 Each check runs in a fresh interpreter, since this test process has scipy
 loaded already."""
@@ -13,6 +13,7 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import morreykit
 from morreykit import Annulus, Ball, MorreyParams, PiecewiseRadialPower, ball_p_integral
@@ -20,9 +21,9 @@ from morreykit.numeric import _BatchObjective
 
 SRC = str(Path(morreykit.__file__).resolve().parent.parent)
 
-# Prints the scipy modules loaded so far, as one JSON line.
-REPORT = ("print(json.dumps(sorted(m for m in sys.modules "
-          "if m == 'scipy' or m.startswith('scipy.'))))")
+# Prints the scipy and numpy.polynomial modules loaded so far, as one JSON line.
+REPORT = ("print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+          "or m.split('.')[:2] == ['numpy', 'polynomial'])))")
 
 
 def _run(body):
@@ -53,16 +54,27 @@ def test_cli_import_loads_no_scipy():
     assert _run("import morreykit.cli\nREPORT") == [[]]
 
 
-def test_witness_command_loads_no_scipy():
-    loaded = _run("""
+def _command_loads(argv):
+    """Exit code of the CLI on argv, run in process, and the modules REPORT
+    names afterwards."""
+    return _run(f"""
         import contextlib, io
         from morreykit.cli import main
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main(['witness', '--d', '2', '--n', '3'])
+            code = main({argv!r})
         print(json.dumps(code))
         REPORT
     """)
-    assert loaded == [0, []]
+
+
+def test_witness_command_loads_no_scipy():
+    assert _command_loads(["witness", "--d", "2", "--n", "5"]) == [0, []]
+
+
+@pytest.mark.parametrize("d", ["2", "3"])
+def test_oracle_compare_loads_no_scipy(d):
+    argv = ["oracle-compare", "--random", "5", "--seed", "3", "--d", d]
+    assert _command_loads(argv) == [0, []]
 
 
 def test_centered_norm_and_d1_ball_load_no_scipy():
@@ -99,13 +111,13 @@ def test_offcenter_d2_d3_balls_load_no_scipy():
 
 def test_d4_objective_loads_special_on_first_use():
     a, big_r = np.array([0.0, 0.8, 2.0]), np.array([0.5, 0.6, 1.5])
-    expected = _BatchObjective([_cap_profile(4)], 24)(a, big_r)
+    expected = _BatchObjective([_cap_profile(4)])(a, big_r)
     before, after, values = _run(f"""
         from morreykit import Annulus, MorreyParams, PiecewiseRadialPower
         from morreykit.numeric import _BatchObjective
         {PROFILE.format(d=4)}
         REPORT
-        values = _BatchObjective([profile], 24)({a.tolist()!r}, {big_r.tolist()!r})
+        values = _BatchObjective([profile])({a.tolist()!r}, {big_r.tolist()!r})
         REPORT
         print(json.dumps([v.hex() for v in values.ravel().tolist()]))
     """)
