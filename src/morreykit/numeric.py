@@ -319,11 +319,12 @@ def monotone_profile_check(profile: PiecewiseRadialPower) -> bool:
 _BALL_BLOCK = 1024
 _PANEL_BLOCK = 7168
 
-#: Relative slack of the grid's floor (see morrey_norms_shared), and the cap
-#: nodes of _BatchObjective, whose overshoot of exact values the slack covers:
-#: 8 nodes are off the adaptive integral by 5.8e-5 at most on the tests' d = 2, 3
-#: probes with R >= 1e-12 a, and above the mass bound by 1.5e-5 on their grids.
-_FLOOR_SLACK, _PIECE_NODES = 1e-3, 8
+#: Relative slack of the grid's floor (see morrey_norms_shared), and the nodes
+#: per cap piece of _BatchObjective, the fine count when alpha < 1/2 or d >= 4,
+#: whose error the slack covers.  Against the adaptive integral (p = 1, d = 2..5,
+#: R >= 1e-12 a, R = a(1 +- 10^-k) too) they are within 6e-4 down to alpha = 0.08,
+#: where 8 nodes alone reach 1.6e-3; tests' grid balls are 1.5e-5 above bound at most.
+_FLOOR_SLACK, _PIECE_NODES, _FINE_PIECE_NODES = 1e-3, 8, 12
 
 #: (ball, profile) cells per block of _BatchObjective.reachable, whose
 #: blocks hold at least _BALL_BLOCK balls.  One profile gets 4096 balls per
@@ -377,7 +378,8 @@ class _BatchObjective:
         self.cp = np.ascontiguousarray(
             np.abs(np.array([pr.coefficients for pr in profiles]).T) ** params.p)
         self.vol_coeff = params.sphere_area / self.d
-        self.nodes, weights = _gauss_legendre(_PIECE_NODES)
+        fine = self.alpha < 0.5 or self.d >= 4
+        self.nodes, weights = _gauss_legendre(_FINE_PIECE_NODES if fine else _PIECE_NODES)
         u_lo = _log_pow(self.lo, self.alpha)
         whole = ((_log_pow(self.hi, self.alpha) - u_lo) / self.alpha)[:, None] * self.cp
         self.prefix = np.cumsum(np.vstack([np.zeros_like(self.cp[:1]), whole]), axis=0)
@@ -528,32 +530,34 @@ class _BatchObjective:
         e_lo, e_hi = _window_ends(ends, big, small)
         t = np.sqrt(e_lo) / (np.sqrt(e_hi) + np.sqrt(2.0 * small))
         g = 0.25 * (big - small) / small
-        cols = [g * (big_r >= a), g * (big_r < a), 0.25 * big / small, 0.5 * g]
+        g_in, g_out, half_g = g * (big_r >= a), g * (big_r < a), 0.5 * g
+        big_q = 0.25 * big / small
         scale = small * (8.0 * small) ** (self.alpha - 1.0)  # r = 8 small (s^2 + g/2)
-        if self.alpha < 1.0:  # g > 0 keeps y defined at R = a
+        graded = self.alpha < 1.0
+        if graded:  # g > 0 keeps y defined at R = a
             power, g = 1.0 + 1.0 / self.alpha, np.maximum(g, 1e-300)
             z0 = g ** (1.0 / power)
             t = np.sqrt(z0 * np.expm1(np.log1p(t * t / g) / power))
-            cols, scale = cols + [1.0 / z0, g], scale / z0
+            scale, inv_z0 = scale / z0, 1.0 / z0
         lo, span = t[0], t[1] - t[0]
         out = np.empty(a.size)
-        for first in range(0, a.size, _PANEL_BLOCK // _PIECE_NODES):
-            part = slice(first, first + _PANEL_BLOCK // _PIECE_NODES)
-            g_in, g_out, big_q, half_g, *graded = (col[part, None] for col in cols)
+        step = _PANEL_BLOCK // self.nodes.size
+        for first in range(0, a.size, step):
+            part = slice(first, first + step)
             y = lo[part, None] + span[part, None] * self.nodes
             t2 = y * y
             if graded:  # t dt/dy = P y (g + t^2) / (z0 + y^2)
-                u = t2 * graded[0]
-                t2 = np.expm1(np.log1p(u) * power) * graded[1]
-                y *= (t2 + graded[1]) / (u + 1.0)
+                u = t2 * inv_z0[part, None]
+                t2 = np.expm1(np.log1p(u) * power) * g[part, None]
+                y *= (t2 + g[part, None]) / (u + 1.0)
             v = 1.0 / (t2 + 1.0)
             s2 = t2 * v * v
             c = v - 0.5
             f = v * v * c * y
             if self.alpha != 1.0:
-                f *= (s2 + half_g) ** (self.alpha - 1.0)
-            num = (s2 + g_in) * (c * c)
-            den = (s2 + g_out) * (s2 + big_q)
+                f *= (s2 + half_g[part, None]) ** (self.alpha - 1.0)
+            num = (s2 + g_in[part, None]) * (c * c)
+            den = (s2 + g_out[part, None]) * (s2 + big_q[part, None])
             if self.d == 3:  # 1 - cos(theta) = 2 T / (1 + T), T = tan^2(theta/2)
                 f *= num / (num + den)
             else:
@@ -718,12 +722,8 @@ def _rescored_report(objective, column, profile, candidates) -> NormReport:
             value, ball, batched = score, cand, float(v)
     if batched > 0.0:
         _check_divergence(objective, column, profile, ball, value)
-    return NormReport(
-        value=value,
-        argmax_ball=ball,
-        method=NormMethod.OFFCENTER_SEARCH,
-        abs_uncertainty=max(abs(batched - value), value * 1e-9),
-    )
+    return NormReport(value=value, argmax_ball=ball, method=NormMethod.OFFCENTER_SEARCH,
+                      abs_uncertainty=max(abs(batched - value), value * 1e-9))
 
 
 def _rescore(profile, ball) -> float:
@@ -737,10 +737,7 @@ def _check_divergence(objective, column, profile, ball, value):
     cap = 4.0 * profile.support_radius
     if ball.radius < 0.95 * cap:
         return
-    probes = objective(
-        np.full(3, ball.center_dist), ball.radius * np.array([1.0, 1.5, 2.25])
-    )[:, column]
+    probes = objective(np.full(3, ball.center_dist),
+                       ball.radius * np.array([1.0, 1.5, 2.25]))[:, column]
     if probes[2] > probes[1] > probes[0] and probes[2] > value:
-        raise NumericalFailure(
-            "objective still increasing at the radius search boundary"
-        )
+        raise NumericalFailure("objective still increasing at the radius search boundary")

@@ -534,6 +534,13 @@ def test_witness_patterns_equal_their_centered_sup(n, d):
         assert math.isclose(report.value, centered_norm(profile).value, rel_tol=1e-12), pattern
 
 
+def _two_sum(x, y):
+    """x + y as w + err, w = fl(x + y), err exact (Knuth's TwoSum)."""
+    w = x + y
+    z = w - x
+    return w, (x - (w - z)) + (y - z)
+
+
 def _dense_objective(profiles, a, big_r):
     """Reference for the batched objective: every annulus for every ball,
     as (balls x K) closed-form interval masses plus, for d >= 2, dense
@@ -542,7 +549,9 @@ def _dense_objective(profiles, a, big_r):
     Q-point Gauss-Legendre in t = tan(phi/4) on r = w_lo + W sin^2(phi/2),
     in units of w_hi, with sin(phi/2) and cos(phi/2) from np.sin and np.cos;
     when alpha < 1, in y with (z0 + y^2)^P = g + t^2, P = 1 + 1/alpha,
-    z0 = g^(1/P) and g = w_lo / 2W instead."""
+    z0 = g^(1/P) and g = w_lo / 2W instead.  Q is 8, or 12 when alpha < 1/2
+    or d >= 4.  The window ends and the cap angle are formed here, from the
+    exact window ends and the half-angle formula of the triangle (a, R, r)."""
     params = profiles[0].params
     d, p, q, alpha = params.d, params.p, params.q, params.alpha
     lo = np.array([ann.r_lo for ann, _ in profiles[0].segments])
@@ -568,18 +577,24 @@ def _dense_objective(profiles, a, big_r):
         s_lo = np.maximum(lo[None, :], np.abs(big_r - a)[:, None])
         s_hi = np.minimum(hi[None, :], (big_r + a)[:, None])
         active = (s_hi > s_lo) & (a[:, None] > 0.0)
+        # big - small and big + small as unevaluated sums end + err (Knuth's
+        # TwoSum), so that s's distances to the window ends keep their digits.
+        lo_end, lo_err = _two_sum(big, -small)
+        hi_end, hi_err = _two_sum(big, small)
         with np.errstate(divide="ignore", invalid="ignore"):
             offset = np.maximum(0.5 * w_lo / width, 1e-300)[..., None]
             power = 1.0 + 1.0 / alpha
             z0 = offset ** (1.0 / power)
             ends = []
             for s in (s_lo, s_hi):
-                e_lo, e_hi = numeric._window_ends(s, big, small)
+                e_lo = np.maximum((s - lo_end) - lo_err, 0.0)
+                e_hi = np.maximum((hi_end - s) + hi_err, 0.0)
                 t = np.tan(0.5 * np.arctan2(np.sqrt(e_lo), np.sqrt(e_hi)))[..., None]
                 if alpha < 1.0:
                     t = np.sqrt(z0 * np.expm1(np.log1p(t * t / offset) / power))
                 ends.append(t)
-            nodes, weights = np.polynomial.legendre.leggauss(numeric._PIECE_NODES)
+            fine = alpha < 0.5 or d >= 4
+            nodes, weights = np.polynomial.legendre.leggauss(12 if fine else 8)
             y = ends[0] + (ends[1] - ends[0]) * 0.5 * (nodes + 1.0)
             if alpha < 1.0:
                 t = np.sqrt(offset * np.expm1(power * np.log1p(y * y / z0)))
@@ -590,9 +605,14 @@ def _dense_objective(profiles, a, big_r):
             e_lo = width[..., None] * np.sin(half) ** 2
             e_hi = width[..., None] * np.cos(half) ** 2
             r = w_lo[..., None] + e_lo
-            theta = np.where((big_r < a)[:, None, None],
-                             *(numeric._window_angle(e_lo, e_hi, r, w_lo[..., None], 1.0,
-                                                     outside) for outside in (True, False)))
+            # tan^2(theta/2) = (sigma - r)(sigma - a) / (sigma (sigma - R)),
+            # 2 sigma = a + R + r: 2 (sigma - r) = e_hi, 2 sigma = r + w_hi, and
+            # 2 (sigma - a), 2 (sigma - R) are r + w_lo, e_lo if R >= a, else
+            # e_lo, r + w_lo.
+            inside = (big_r >= a)[:, None, None]
+            ratio = e_hi * np.where(inside, r + w_lo[..., None], e_lo) \
+                / ((r + 1.0) * np.where(inside, e_lo, r + w_lo[..., None]))
+            theta = 2.0 * np.arctan(np.sqrt(ratio))
             f = (r ** (alpha - 1.0) * sin_power_integral(d - 2, theta)
                  * 0.5 * width[..., None] * np.sin(2.0 * half) * 4.0 / (1.0 + t * t) * dt_dy)
             piece = (ends[1] - ends[0])[..., 0] * (f @ (0.5 * weights)) * upow(w_hi)
@@ -656,22 +676,48 @@ def _objective_cases():
                            id=f"random-{k}-d{params.d}")
 
 
-#: The d >= 2 cases of _objective_cases, built once for the tests that share
-#: their adaptive masses.
-_CAP_CASES = [case for case in _objective_cases() if case.values[0][0].params.d >= 2]
+def _small_alpha_cases():
+    """p = 1 and alpha from 0.1 to 0.26, the range that random_params reaches
+    at d = 2, 3, and d = 4, 5 on both sides of alpha = 1."""
+    for d, alpha in [(d, alpha) for d in (2, 3) for alpha in (0.1, 0.16, 0.26)] \
+            + [(4, 0.16), (5, 0.26), (5, 1.05)]:
+        params = MorreyParams(1.0, d / (d - alpha), d)
+        profile = PiecewiseRadialPower(params, (
+            (Annulus(0.0, 0.7), 1.3), (Annulus(0.7, 1.2), -0.4), (Annulus(1.5, 2.0), 2.0)))
+        yield pytest.param([profile], id=f"alpha{alpha}-d{d}")
+
+
+def _near_equal_balls(profile):
+    """Balls with R = a and R = a (1 +- 10^-k), k = 1..16, at four centers;
+    at three of them the outer window end of R = a is an annulus boundary."""
+    b = profile.boundaries[profile.boundaries > 0.0]
+    a = np.repeat([0.5 * b[0], 0.5 * b[b.size // 2], 0.5 * b[-1], 0.7 * b[-1]], 33)
+    step = 10.0 ** -np.arange(1.0, 17.0)
+    return a, a * np.tile(np.concatenate([[1.0], 1.0 + step, 1.0 - step]), 4)
+
+
+def _cap_balls(profile):
+    """The probe balls and the balls with R near a, as (center_dist, radius)."""
+    return tuple(map(np.concatenate, zip(_probe_balls(profile), _near_equal_balls(profile))))
+
+
+#: The d >= 2 cases of _objective_cases and the small-alpha cases, built once
+#: for the tests that share their adaptive masses.
+_CAP_CASES = [case for case in _objective_cases() if case.values[0][0].params.d >= 2] \
+    + list(_small_alpha_cases())
 
 
 @functools.cache
 def _adaptive_masses(profile):
-    """ball_p_integral of the profile on each of its probe balls."""
+    """ball_p_integral of the profile on each of its _cap_balls."""
     return np.array([ball_p_integral(profile, Ball(a, big_r))
-                     for a, big_r in zip(*_probe_balls(profile))])
+                     for a, big_r in zip(*_cap_balls(profile))])
 
 
 @pytest.mark.parametrize("profiles", _CAP_CASES)
 def test_adaptive_integral_runs_on_every_probe(profiles):
-    # R = a, thin balls, and window ends on boundaries far below the scale
-    # of the ball: the cap quadrature converges on all of them.
+    # R = a and R near a, thin balls, and window ends on boundaries far below
+    # the scale of the ball: the cap quadrature converges on all of them.
     masses = _adaptive_masses(profiles[0])
     assert np.all(np.isfinite(masses) & (masses >= 0.0))
 
@@ -683,7 +729,7 @@ class TestBatchObjective:
         # The cap pieces of balls thinner than 1e-12 of their distance from
         # the origin carry too little of the mass to compare.
         profile = profiles[0]
-        a, big_r = _probe_balls(profile)
+        a, big_r = _cap_balls(profile)
         got = _BatchObjective([profile])(a, big_r)[:, 0]
         mass = _adaptive_masses(profile)
         exact = np.array([morrey_quantity(profile.params, r, m) if m > 0.0 else 0.0
@@ -691,7 +737,7 @@ class TestBatchObjective:
         keep = big_r >= 1e-12 * a
         assert np.all(np.abs(got - exact)[keep] <= numeric._FLOOR_SLACK * exact[keep])
 
-    @pytest.mark.parametrize("profiles", list(_objective_cases()))
+    @pytest.mark.parametrize("profiles", list(_objective_cases()) + list(_small_alpha_cases()))
     def test_matches_dense_reference(self, profiles):
         a, big_r = _probe_balls(profiles[0])
         got = _BatchObjective(profiles)(a, big_r)
@@ -796,8 +842,8 @@ class TestMassBound:
     def test_bounds_every_grid_ball(self, profiles, cfg):
         # In quantity terms: the Morrey quantity that a ball holding the
         # bound's mass would have is at least the ball's batched value, up
-        # to the batched masses' quadrature error in d >= 2, which the
-        # search's floor slack covers.
+        # to the batched masses' quadrature error in d >= 2, far inside the
+        # search's floor slack (see numeric._FLOOR_SLACK).
         objective = _BatchObjective(profiles)
         aa, rr = _grid(profiles[0], cfg)
         value = objective(aa, rr)
@@ -805,7 +851,7 @@ class TestMassBound:
             bound = np.exp(np.log(objective.mass_bound(aa, rr)) / objective.p
                            + ((1.0 / objective.q - 1.0 / objective.p)
                               * objective._log_ball(rr))[:, None])
-        slack, noise = numeric._FLOOR_SLACK, 0.0
+        slack, noise = 2e-5, 0.0
         if objective.d == 1:
             # The d = 1 window (a - R, a + R) of a ball far thinner than its
             # distance from the origin loses R to rounding: an error of at
