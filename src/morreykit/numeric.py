@@ -323,7 +323,7 @@ _PANEL_BLOCK = 7168
 #: per cap piece of _BatchObjective, the fine count when alpha < 1/2 or d >= 4,
 #: whose error the slack covers.  Against the adaptive integral (p = 1, d = 2..5,
 #: R >= 1e-12 a, R = a(1 +- 10^-k) too) they are within 6e-4 down to alpha = 0.08,
-#: where 8 nodes alone reach 1.6e-3; tests' grid balls are 1.5e-5 above bound at most.
+#: where 8 nodes alone are up to 6.4e-3 off; no test grid ball is 1.6e-5 above bound.
 _FLOOR_SLACK, _PIECE_NODES, _FINE_PIECE_NODES = 1e-3, 8, 12
 
 #: (ball, profile) cells per block of _BatchObjective.reachable, whose
