@@ -10,7 +10,6 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 
@@ -65,31 +64,6 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--d", type=int, default=1, help="dimension (default 1)")
 
 
-def _add_search_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--center-grid", type=int, default=None,
-                        help="grid points for the ball-center sweep")
-    parser.add_argument("--radius-grid", type=int, default=None,
-                        help="grid points for the ball-radius sweep")
-    parser.add_argument("--mc-samples", type=int, default=None,
-                        help="Monte Carlo sample count")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for every stochastic component")
-
-
-def _resolve_config(args, base: numeric.SearchConfig) -> numeric.SearchConfig:
-    overrides = {}
-    for flag, field in (
-        ("center_grid", "center_grid"),
-        ("radius_grid", "radius_grid"),
-        ("mc_samples", "mc_samples"),
-        ("seed", "rng_seed"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    return replace(base, **overrides) if overrides else base
-
-
 def _params_from_args(args) -> MorreyParams:
     return MorreyParams(p=args.p, q=args.q, d=args.d)
 
@@ -117,14 +91,13 @@ def _cmd_norm(args) -> int:
     profile = _load_profile_checked(args.profile)
     if args.emit_profile:
         save_profile(profile, args.emit_profile)
-    cfg = _resolve_config(args, numeric.DEFAULT_SEARCH)
     pairs = [("morreykit_version", __version__), ("profile", args.profile)]
     if args.method in ("closed", "both"):
         closed = closedform.centered_norm(profile)
         prefix = "closed_" if args.method == "both" else ""
         pairs += _norm_report_pairs(prefix, closed)
     if args.method in ("numeric", "both"):
-        num = numeric.morrey_norm_numeric(profile, cfg)
+        num = numeric.morrey_norm_numeric(profile)
         prefix = "numeric_" if args.method == "both" else ""
         pairs += _norm_report_pairs(prefix, num)
     if args.method == "both":
@@ -136,14 +109,10 @@ def _cmd_norm(args) -> int:
 
 def _cmd_witness(args) -> int:
     params = _params_from_args(args)
-    cfg = _resolve_config(args, constants.WITNESS_SEARCH)
-    report = constants.verify_non_ell1n(params, args.n, args.delta,
-                                        epsilon=args.epsilon, cfg=cfg)
+    report = constants.verify_non_ell1n(params, args.n, args.delta, epsilon=args.epsilon)
     if args.emit_profiles:
         os.makedirs(args.emit_profiles, exist_ok=True)
-        family = constants.build_witnesses(params, args.n, args.delta,
-                                           epsilon=report.epsilon)
-        for i, function in enumerate(family.functions, start=1):
+        for i, function in enumerate(report.family.functions, start=1):
             save_profile(
                 function, os.path.join(args.emit_profiles, f"witness_f{i}.profile")
             )
@@ -170,8 +139,7 @@ def _cmd_witness(args) -> int:
 def _cmd_constants(args) -> int:
     params = _params_from_args(args)
     deltas = _parse_float_list(args.deltas, "deltas")
-    cfg = _resolve_config(args, constants.WITNESS_SEARCH)
-    ladder = constants.estimate_constants(params, args.n, deltas, cfg)
+    ladder = constants.estimate_constants(params, args.n, deltas)
     pairs = [
         ("morreykit_version", __version__),
         ("p", params.p), ("q", params.q), ("d", params.d), ("n", args.n),
@@ -204,7 +172,6 @@ def _sweep_values(args) -> np.ndarray:
 
 def _cmd_sweep(args) -> int:
     params = _params_from_args(args)
-    cfg = _resolve_config(args, constants.WITNESS_SEARCH)
     values = _sweep_values(args)
     lines = [f"{args.vary},theoretical_lower_bound,min_signed_norm,nj_ratio"]
     for value in values:
@@ -217,7 +184,7 @@ def _cmd_sweep(args) -> int:
         else:  # q
             row_params = MorreyParams(p=params.p, q=value, d=params.d)
             family = constants.build_witnesses(row_params, args.n, args.delta)
-        row = constants.ladder_row(family, cfg)
+        row = constants.ladder_row(family)
         lines.append(",".join(
             _fmt(x) for x in
             (value, row.theoretical_lower_bound, row.min_signed_norm, row.nj_ratio)
@@ -227,13 +194,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
-    cfg = _resolve_config(args, numeric.DEFAULT_SEARCH)
     cases = []
     if args.profile is not None:
         cases.append(("file", _load_profile_checked(args.profile)))
     else:
         params = _params_from_args(args)
-        rng = np.random.default_rng(cfg.rng_seed)
+        rng = np.random.default_rng(args.seed)
         for i in range(args.random):
             profile = sampling.random_bounded_profile(
                 params, rng, monotone=bool(i % 2)
@@ -244,7 +210,7 @@ def _cmd_oracle_compare(args) -> int:
     all_ok = True
     for name, profile in cases:
         closed = closedform.centered_norm(profile).value
-        num = numeric.morrey_norm_numeric(profile, cfg).value
+        num = numeric.morrey_norm_numeric(profile).value
         monotone = numeric.monotone_profile_check(profile)
         scale = max(abs(closed), abs(num), 1e-300)
         rel = abs(closed - num) / scale
@@ -293,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="both")
     p_norm.add_argument("--emit-profile", default=None,
                         help="re-emit the parsed profile in canonical form")
-    _add_search_flags(p_norm)
     p_norm.set_defaults(func=_cmd_norm)
 
     p_wit = sub.add_parser("witness", help="build and verify a witness family")
@@ -305,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="annulus ratio; default is half the admissible bound")
     p_wit.add_argument("--emit-profiles", default=None,
                        help="directory for the witness profile documents")
-    _add_search_flags(p_wit)
     p_wit.set_defaults(func=_cmd_witness)
 
     p_const = sub.add_parser(
@@ -319,7 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--n", type=int, default=3)
     p_const.add_argument("--deltas", default="0.3,0.1,0.01",
                          help="comma-separated, strictly decreasing")
-    _add_search_flags(p_const)
     p_const.set_defaults(func=_cmd_constants)
 
     p_sweep = sub.add_parser("sweep", help="tabulate bounds along a parameter range")
@@ -331,7 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--stop", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
-    _add_search_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser(
@@ -343,8 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--random", type=int, default=None,
                        help="number of random profiles to check")
     p_oracle.add_argument("--tol", type=float, default=1e-3)
+    p_oracle.add_argument("--seed", type=int, default=numeric.DEFAULT_SEARCH.rng_seed,
+                          help="seed of the random profiles")
     _add_param_flags(p_oracle)
-    _add_search_flags(p_oracle)
     p_oracle.set_defaults(func=_cmd_oracle_compare)
 
     return parser

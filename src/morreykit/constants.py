@@ -29,12 +29,10 @@ from .core import (
     warn_if_underflow,
 )
 from . import closedform
-from .numeric import SearchConfig, morrey_norms_shared
+from .numeric import DEFAULT_SEARCH, morrey_norms_shared
 
-#: Search resolution used for witness verification.  Combination profiles
-#: carry every annulus boundary in the grid, and the decisive centered balls
-#: are evaluated in closed form, so a moderate off-center lattice suffices.
-WITNESS_SEARCH = SearchConfig(center_grid=56, radius_grid=72)
+#: Another name for DEFAULT_SEARCH: witness searches have no settings of their own.
+WITNESS_SEARCH = DEFAULT_SEARCH
 
 JAMES = "james"
 VON_NEUMANN_JORDAN = "von_neumann_jordan"
@@ -86,7 +84,7 @@ class ConstantEstimate:
 
 @dataclass(frozen=True)
 class NonEll1nReport:
-    """Outcome of one witness-family verification run."""
+    """Outcome of one witness-family verification run, with the family."""
 
     passed: bool
     params: MorreyParams
@@ -97,6 +95,7 @@ class NonEll1nReport:
     threshold: float
     theoretical_lower_bound: float
     combinations: SignedCombinationReport
+    family: WitnessFamily
 
 
 @dataclass(frozen=True)
@@ -189,12 +188,12 @@ def _combination_profiles(family: WitnessFamily):
     return profiles
 
 
-def _signed_combinations(family: WitnessFamily, cfg: SearchConfig, extra=()):
+def _signed_combinations(family: WitnessFamily, extra=()):
     """All signed-combination norms, plus the norms of the profiles in
     extra (on the family's annuli) scored as further columns of the same
     shared search."""
     jobs = _combination_profiles(family)
-    reports = morrey_norms_shared([profile for _, profile in jobs] + list(extra), cfg)
+    reports = morrey_norms_shared([profile for _, profile in jobs] + list(extra))
     values = [r.value for r in reports[:len(jobs)]]
     argmin = int(np.argmin(values))
     combinations = SignedCombinationReport(
@@ -207,18 +206,17 @@ def _signed_combinations(family: WitnessFamily, cfg: SearchConfig, extra=()):
     return combinations, reports[len(jobs):]
 
 
-def min_signed_norm(family: WitnessFamily,
-                    cfg: SearchConfig = WITNESS_SEARCH) -> SignedCombinationReport:
+def min_signed_norm(family: WitnessFamily) -> SignedCombinationReport:
     """Norms of all 2^(n-1) signed combinations and their minimum.
 
     Combinations can mix signs, so their moduli need not be radially
     monotone; every norm goes through the off-center search.  They all live
-    on the family's annuli, so one shared grid pass scores every pattern
+    on the family's annuli, so one shared search scores every pattern
     (numeric.morrey_norms_shared); each pattern's best ball is refined and
     re-scored with the adaptive integral, and abs_uncertainty is
     max(|batched value - rescored value|, 1e-9 * value).
     """
-    return _signed_combinations(family, cfg)[0]
+    return _signed_combinations(family)[0]
 
 
 def theoretical_lower_bound(family: WitnessFamily) -> float:
@@ -249,12 +247,11 @@ def _check_envelope(family: WitnessFamily, report: SignedCombinationReport) -> N
 
 
 def verify_non_ell1n(params: MorreyParams, n: int, delta: float,
-                     epsilon: float | None = None,
-                     cfg: SearchConfig = WITNESS_SEARCH) -> NonEll1nReport:
+                     epsilon: float | None = None) -> NonEll1nReport:
     """Check min over signs of ||f_1 +- ... +- f_n|| > n(1-delta) by direct
-    enumeration on a freshly built witness family."""
+    enumeration on a freshly built witness family, which the report carries."""
     family = build_witnesses(params, n, delta, epsilon)
-    report = min_signed_norm(family, cfg)
+    report = min_signed_norm(family)
     _check_envelope(family, report)
     threshold = n * (1.0 - delta)
     return NonEll1nReport(
@@ -267,6 +264,7 @@ def verify_non_ell1n(params: MorreyParams, n: int, delta: float,
         threshold=threshold,
         theoretical_lower_bound=theoretical_lower_bound(family),
         combinations=report,
+        family=family,
     )
 
 
@@ -302,10 +300,10 @@ def _validate_delta_sequence(delta_sequence) -> list:
     return deltas
 
 
-def ladder_row(family: WitnessFamily, cfg: SearchConfig = WITNESS_SEARCH) -> LadderRow:
+def ladder_row(family: WitnessFamily) -> LadderRow:
     """One family's minimum signed norm and NJ ratio, from one shared search
     in which functions[0], the NJ denominator, is one more column."""
-    report, (base,) = _signed_combinations(family, cfg, (family.functions[0],))
+    report, (base,) = _signed_combinations(family, (family.functions[0],))
     _check_envelope(family, report)
     return LadderRow(
         delta=family.delta,
@@ -316,15 +314,14 @@ def ladder_row(family: WitnessFamily, cfg: SearchConfig = WITNESS_SEARCH) -> Lad
     )
 
 
-def estimate_constants(params: MorreyParams, n: int, delta_sequence,
-                       cfg: SearchConfig = WITNESS_SEARCH) -> ConstantsLadder:
+def estimate_constants(params: MorreyParams, n: int, delta_sequence) -> ConstantsLadder:
     """Run the witness ladder once and derive both lower bounds from it."""
     deltas = _validate_delta_sequence(delta_sequence)
     rows = []
     best_min = (-math.inf, None)
     best_ratio = (-math.inf, None)
     for delta in deltas:
-        row = ladder_row(build_witnesses(params, n, delta), cfg)
+        row = ladder_row(build_witnesses(params, n, delta))
         rows.append(row)
         if row.min_signed_norm > best_min[0]:
             best_min = (row.min_signed_norm, delta)
@@ -350,7 +347,7 @@ def _tuple_signed_norms(vectors: FiniteVectorTuple) -> np.ndarray:
     return vectors.vector_norms(combos)
 
 
-def nj_ratio(obj, cfg: SearchConfig = WITNESS_SEARCH) -> float:
+def nj_ratio(obj) -> float:
     """sum over signs of ||x_1 +- ... +- x_n||^2 over 2^(n-1) sum ||x_i||^2.
 
     Equals 1 identically for Euclidean tuples: expanding the squares, every
@@ -365,7 +362,7 @@ def nj_ratio(obj, cfg: SearchConfig = WITNESS_SEARCH) -> float:
         signed = _tuple_signed_norms(obj)
         return float(np.sum(signed**2) / (signed.size * np.sum(norms**2)))
     if isinstance(obj, WitnessFamily):
-        combinations, (base,) = _signed_combinations(obj, cfg, (obj.functions[0],))
+        combinations, (base,) = _signed_combinations(obj, (obj.functions[0],))
         return _family_nj_ratio(obj, combinations, base.value)
     raise ParameterError(f"unsupported operand {type(obj).__name__}")
 
@@ -377,8 +374,7 @@ def _family_nj_ratio(family: WitnessFamily, combinations: SignedCombinationRepor
     return float(np.sum(signed**2) / (signed.size * family.n * base**2))
 
 
-def j_nj_inequality_check(samples, cfg: SearchConfig = WITNESS_SEARCH,
-                          rel_tol: float = 1e-9) -> JNJCheckReport:
+def j_nj_inequality_check(samples, rel_tol: float = 1e-9) -> JNJCheckReport:
     """Verify min^2 <= mean of squared signed norms on every sample.
 
     This is the quadratic-mean step that links the two constants; taking
@@ -390,7 +386,7 @@ def j_nj_inequality_check(samples, cfg: SearchConfig = WITNESS_SEARCH,
         if isinstance(sample, FiniteVectorTuple):
             signed = _tuple_signed_norms(sample)
         elif isinstance(sample, WitnessFamily):
-            signed = min_signed_norm(sample, cfg).norm_values
+            signed = min_signed_norm(sample).norm_values
         else:
             raise ParameterError(f"unsupported sample {type(sample).__name__}")
         mean_sq = float(np.mean(signed**2))

@@ -85,11 +85,20 @@ class TestNorm:
         assert load_profile(str(emitted)) == load_profile(annulus_doc)
 
     def test_search_flags(self, capsys, annulus_doc):
-        code, out, _ = run(capsys, "norm", annulus_doc, "--method", "numeric",
-                           "--center-grid", "30", "--radius-grid", "30")
-        assert code == 0
-        code, _, err = run(capsys, "norm", annulus_doc, "--quad-points", "8")
-        assert code == 2 and "--quad-points" in err
+        # The search has no settings and only oracle-compare --random draws
+        # random numbers, so every subcommand refuses these flags.
+        commands = {
+            "norm": [annulus_doc], "witness": [], "constants": [],
+            "sweep": ["--vary", "q", "--start", "2", "--stop", "3", "--steps", "2"],
+            "oracle-compare": ["--random", "1"],
+        }
+        for command, args in commands.items():
+            flags = ["--center-grid", "--radius-grid", "--mc-samples", "--quad-points"]
+            if command != "oracle-compare":
+                flags.append("--seed")
+            for flag in flags:
+                code, _, err = run(capsys, command, *args, flag, "8")
+                assert code == 2 and flag in err, (command, flag)
 
 
 class TestWitness:
@@ -122,11 +131,20 @@ class TestWitness:
         code, _, err = run(capsys, "witness", "--delta", "0.1", "--epsilon", "0.5")
         assert code == 2
 
-    def test_emit_profiles(self, capsys, tmp_path):
+    def test_emit_profiles(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = constants.build_witnesses
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(constants, "build_witnesses", counted)
         outdir = tmp_path / "witnesses"
         code, _, _ = run(capsys, "witness", "--n", "2", "--delta", "0.2",
                          "--emit-profiles", str(outdir))
         assert code == 0
+        assert len(calls) == 1  # the verified family is the one written
         files = sorted(os.listdir(outdir))
         assert files == ["witness_f1.profile", "witness_f2.profile"]
         from morreykit import load_profile
@@ -137,8 +155,8 @@ class TestWitness:
         # force a verdict violation: pretend every combination norm is tiny
         real = constants.verify_non_ell1n
 
-        def sabotaged(params, n, delta, epsilon=None, cfg=None):
-            report = real(params, n, delta, epsilon=epsilon, cfg=cfg)
+        def sabotaged(params, n, delta, epsilon=None):
+            report = real(params, n, delta, epsilon=epsilon)
             object.__setattr__(report, "passed", False)
             return report
 
@@ -242,9 +260,7 @@ class TestSweep:
 
 class TestOracleCompare:
     def test_random_battery(self, capsys):
-        code, out, _ = run(capsys, "oracle-compare", "--random", "4",
-                           "--seed", "3", "--center-grid", "50",
-                           "--radius-grid", "50")
+        code, out, _ = run(capsys, "oracle-compare", "--random", "4", "--seed", "3")
         assert code == 0
         assert parse_kv(out)["verdict"] == "PASS"
 
@@ -255,6 +271,70 @@ class TestOracleCompare:
     def test_requires_a_source(self, capsys):
         code, _, _ = run(capsys, "oracle-compare")
         assert code == 2
+
+
+#: Default output of two witness commands, as printed since the search has
+#: one grid; every line after morreykit_version is pinned.
+PINNED = {
+    ("witness", "--d", "2", "--n", "5", "--delta", "0.1"): """\
+p                              = 1
+q                              = 2
+d                              = 2
+n                              = 5
+delta                          = 0.1
+epsilon                        = 0.05
+shared_norm                    = 3.54490770181
+threshold                      = 4.5
+theoretical_lower_bound        = 4.75
+norm_+++++                     = 4.75
+norm_++++-                     = 4.8925
+norm_+++-+                     = 4.804625
+norm_+++--                     = 4.89974375
+norm_++-++                     = 4.8000115625
+norm_++-+-                     = 4.89501185937
+norm_++--+                     = 4.80476187422
+norm_++---                     = 4.89976187496
+norm_+-+++                     = 4.89500000007
+norm_+-++-                     = 4.89523750007
+norm_+-+-+                     = 4.80475059382
+norm_+-+--                     = 4.89975000156
+norm_+--++                     = 4.80001187508
+norm_+--+-                     = 4.89501187507
+norm_+---+                     = 4.80476187507
+norm_+----                     = 4.89976187507
+min_signed_norm                = 4.75
+verdict                        = PASS
+""",
+    ("constants", "--n", "3", "--deltas", "0.3,0.1,0.01"): """\
+p                              = 1
+q                              = 2
+d                              = 1
+n                              = 3
+delta_0.3_epsilon              = 0.045
+delta_0.3_min_signed_norm      = 2.36839990674
+delta_0.3_nj_ratio             = 2.10857832546
+delta_0.1_epsilon              = 0.005
+delta_0.1_min_signed_norm      = 2.78793766409
+delta_0.1_nj_ratio             = 2.68812594391
+delta_0.01_epsilon             = 5e-05
+delta_0.01_min_signed_norm     = 2.97878680401
+delta_0.01_nj_ratio            = 2.96824265056
+james_lower_bound              = 2.97878680401
+james_witness                  = witness family at delta=0.01
+nj_lower_bound                 = 2.96824265056
+nj_witness                     = witness family at delta=0.01
+upper_cap                      = 3
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED), ids=lambda argv: argv[0])
+def test_default_output_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    first, rest = out.split("\n", 1)
+    assert code == 0
+    assert first.startswith("morreykit_version ")
+    assert rest == PINNED[argv]
 
 
 def test_version_flag(capsys):

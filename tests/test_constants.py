@@ -24,7 +24,6 @@ from morreykit import (
     verify_non_ell1n,
 )
 from morreykit.constants import (
-    WITNESS_SEARCH,
     _combination_profiles,
     estimate_constants,
 )
@@ -37,7 +36,7 @@ P122 = MorreyParams(1.0, 2.0, 2)
 def _separate_nj_ratio(family, report):
     """The NJ ratio with the base norm of functions[0] from a search of its
     own: sum of squared signed norms over 2^(n-1) n ||functions[0]||^2."""
-    base = morrey_norm_numeric(family.functions[0], WITNESS_SEARCH).value
+    base = morrey_norm_numeric(family.functions[0]).value
     signed = report.norm_values
     return float(np.sum(signed**2) / (signed.size * family.n * base**2))
 
@@ -80,7 +79,7 @@ class TestBuildWitnesses:
         for f in family.functions:
             assert math.isclose(centered_norm(f).value, 1.0, rel_tol=1e-10)
         # the numeric search does not find anything better off-center
-        report = morrey_norm_numeric(family.functions[0], WITNESS_SEARCH)
+        report = morrey_norm_numeric(family.functions[0])
         assert math.isclose(report.value, 1.0, rel_tol=1e-6)
 
     def test_prenormalization_norms_all_equal(self):
@@ -171,7 +170,7 @@ class TestMinSignedNorm:
 
 
 class TestSharedSearch:
-    """One grid pass for all patterns gives the single-profile results."""
+    """One search for all patterns gives the single-profile results."""
 
     @pytest.mark.parametrize("params", [P121, P122])
     @pytest.mark.parametrize("n", [3, 4])  # even n zeroes some coefficients
@@ -180,7 +179,7 @@ class TestSharedSearch:
         report = min_signed_norm(family)
         for (pattern, profile), shared in zip(_combination_profiles(family),
                                               report.reports):
-            alone = morrey_norm_numeric(profile, WITNESS_SEARCH).value
+            alone = morrey_norm_numeric(profile).value
             assert math.isclose(shared.value, alone, rel_tol=1e-12), pattern
 
     @pytest.mark.parametrize("params", [P121, P122])
