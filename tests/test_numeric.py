@@ -478,17 +478,22 @@ class TestMorreyNormNumeric:
         assert report.value >= corner * (1.0 - 1e-12)
         assert report.value <= corner * (1.0 + 1e-9)
 
-    @pytest.mark.parametrize("d, shells, corner", [
-        (1, ((0.1, 0.2, 0.3), (1.0, 1.01, 1.0)), Ball(1.005, 0.005)),
-        (2, ((0.7, 0.707, 4.0), (1.0, 1.1, 1.0)), Ball(0.7035, 0.0035)),
-    ], ids=["d1", "d2"])
-    def test_supremum_beside_thin_shell(self, d, shells, corner):
-        # The ball that covers the thin shell (lo, hi) and nothing else, a
-        # window-corner ball beside the origin, beats every grid ball by 14%
-        # (d = 1) and 23% (d = 2); its adaptive value bounds the norm below.
-        params = MorreyParams(1.0, 4.0, d)
-        profile = PiecewiseRadialPower(params, tuple(
-            (Annulus(lo, hi), c) for lo, hi, c in shells))
+    @pytest.mark.parametrize("p, q, d, segments, corner", [
+        (1.0, 4.0, 1, ((0.1, 0.2, 0.3), (1.0, 1.01, 1.0)), Ball(1.005, 0.005)),
+        (1.0, 4.0, 2, ((0.7, 0.707, 4.0), (1.0, 1.1, 1.0)), Ball(0.7035, 0.0035)),
+        (1.6786290113252538, 5.516032719928011, 1,
+         ((0.052939224787730194, 0.5479694484806839, -0.5942854957096391),
+          (0.5479694484806839, 1.1198342778303492, -1.6369933525435636),
+          (1.1198342778303492, 1.2832417156064782, -2.032813119307109)),
+         Ball(0.9156055820435811, 0.36763613356289715)),
+    ], ids=["d1-thin-shell", "d2-thin-shell", "d1-two-annuli"])
+    def test_supremum_at_corner_ball(self, p, q, d, segments, corner):
+        # The corner ball's window is the outer thin shell, or the two outer
+        # annuli: a window-corner ball beside the origin that no grid of
+        # centers and radii holds, and that the compass from the grid's best
+        # ball does not reach.  Its adaptive value bounds the norm below.
+        profile = PiecewiseRadialPower(MorreyParams(p, q, d), tuple(
+            (Annulus(lo, hi), c) for lo, hi, c in segments))
         value = morrey_norm_numeric(profile).value
         assert value >= numeric._rescore(profile, corner) * (1.0 - 1e-12)
 
@@ -851,17 +856,18 @@ def test_reports_reach_the_centered_norm(profiles):
 
 
 def test_corner_balls_put_window_ends_on_boundaries():
+    # The search's balls end with two corner balls per pair of boundaries at
+    # most _CORNER_SPAN annuli apart: one holding the origin, one beside it.
     profile = _dyadic_profiles(MorreyParams(1.0, 2.0, 2), np.random.default_rng(0))[0]
     b = profile.boundaries[profile.boundaries > 0.0]
+    span = numeric._CORNER_SPAN
+    pairs = {(b[i], b[j]) for i in range(b.size) for j in range(i + 1, min(i + span + 1, b.size))}
     a, big_r = numeric._search_balls(profile)
-    corners = slice(a.size - 2 * (3 * b.size - 6), None)
-    a, big_r = a[corners], big_r[corners]
+    a, big_r = a[-2 * len(pairs):], big_r[-2 * len(pairs):]
     w_lo, w_hi = np.abs(big_r - a), big_r + a
-    assert np.all(np.isin(w_lo, b) & np.isin(w_hi, b) & (w_lo < w_hi))
-    # each pair of boundaries at most 3 annuli apart, holding the origin or not
+    assert np.all(np.isin(w_lo, b) & np.isin(w_hi, b))
     ends = set(zip(w_lo.tolist(), w_hi.tolist(), (big_r > a).tolist()))
-    assert ends == {(b[i], b[j], holds) for i in range(b.size)
-                    for j in range(i + 1, min(i + 4, b.size)) for holds in (True, False)}
+    assert ends == {(lo, hi, holds) for lo, hi in pairs for holds in (True, False)}
 
 
 def test_search_config_validation():
