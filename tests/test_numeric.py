@@ -847,12 +847,74 @@ def _bound_cases():
             yield pytest.param(profiles + [family.functions[0]], id=f"witness-d{d}-n{n}")
 
 
-@pytest.mark.parametrize("profiles", list(_bound_cases()))
-def test_reports_reach_the_centered_norm(profiles):
-    # The search holds the centered supremum's ball, and the report
-    # re-scores the winner, so no report falls below the centered norm.
-    for profile, report in zip(profiles, morrey_norms_shared(profiles)):
-        assert report.value >= centered_norm(profile).value * (1.0 - 1e-12)
+class TestMassBound:
+    """The search's balls and reports against bounds that need no search: no
+    ball holds more than the mass of its radial window, and no report falls
+    below the centered norm."""
+
+    @staticmethod
+    def _window_bound(objective, profile, a, big_r):
+        """(balls x P) Morrey quantities that a ball would have if it held
+        all the mass of the shell (a - R, a + R), or of the ball of radius
+        R + a about the origin when R >= a, which holds it.  The powers are
+        taken in units of R + a, so deep annuli do not underflow."""
+        lo, hi, _ = numeric._segment_arrays(profile)
+        outer = big_r + a
+        inner = np.where(big_r < a, a - big_r, 0.0) / outer
+        lo_u, hi_u = lo[None, :] / outer[:, None], hi[None, :] / outer[:, None]
+        alpha = objective.alpha
+        unit = (np.clip(1.0, lo_u, hi_u) ** alpha
+                - np.clip(inner[:, None], lo_u, hi_u) ** alpha) / alpha
+        mass = sphere_area(objective.d) * (unit @ objective.cp)
+        with np.errstate(divide="ignore"):
+            log_mass = np.log(mass) + (alpha * np.log(outer))[:, None]
+        return np.exp(log_mass / objective.p + ((1.0 / objective.q - 1.0 / objective.p)
+                                                * objective._log_ball(big_r))[:, None])
+
+    @pytest.mark.parametrize("profiles", list(_bound_cases()))
+    def test_bounds_every_grid_ball(self, profiles):
+        # The bound is exact on the centered balls, which the batched values
+        # take from whole-annulus prefix sums.
+        objective = _BatchObjective(profiles)
+        aa, rr = numeric._search_balls(profiles[0])
+        value = objective(aa, rr)
+        bound = self._window_bound(objective, profiles[0], aa, rr)
+        noise = 0.0
+        if objective.d == 1:
+            # The d = 1 window (a - R, a + R) of a ball far thinner than its
+            # distance from the origin loses R to rounding: an error of at
+            # most 1e-5 of the largest value, which cannot decide a winner.
+            noise = np.where((rr < 1e-3 * aa)[:, None], 1e-5 * value.max(axis=0), 0.0)
+        assert np.all(value <= bound * (1.0 + 1e-12) + noise)
+
+    @pytest.mark.parametrize("profiles", list(_bound_cases()))
+    def test_reports_reach_the_centered_norm(self, profiles):
+        # The search holds the centered supremum's ball, and the report
+        # re-scores the winner, so no report falls below the centered norm.
+        for profile, report in zip(profiles, morrey_norms_shared(profiles)):
+            assert report.value >= centered_norm(profile).value * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("profiles", list(_bound_cases())[::4])
+    def test_grid_winner_matches_unpruned_grid(self, profiles, monkeypatch):
+        seen = []
+        refine = numeric._refine
+
+        def spy(objective, a0, r0, v0):
+            seen.append((a0.copy(), r0.copy(), v0.copy()))
+            return refine(objective, a0, r0, v0)
+
+        monkeypatch.setattr(numeric, "_refine", spy)
+        morrey_norms_shared(profiles)
+        # Every search ball scored in one call; np.argmax keeps the first of
+        # tied balls, as the search's strict comparison across blocks does.
+        objective = _BatchObjective(profiles)
+        aa, rr = numeric._search_balls(profiles[0])
+        values = objective(aa, rr)
+        best = np.argmax(values, axis=0)
+        (a0, r0, v0), = seen
+        assert np.array_equal(a0, aa[best])
+        assert np.array_equal(r0, rr[best])
+        assert np.array_equal(v0, values[best, np.arange(len(profiles))])
 
 
 def test_corner_balls_put_window_ends_on_boundaries():
