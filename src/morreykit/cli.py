@@ -120,8 +120,8 @@ def _cmd_witness(args) -> int:
         ("morreykit_version", __version__),
         ("p", params.p), ("q", params.q), ("d", params.d),
         ("n", args.n), ("delta", args.delta),
-        ("epsilon", report.epsilon),
-        ("shared_norm", report.shared_norm),
+        ("epsilon", report.family.epsilon),
+        ("shared_norm", report.family.shared_norm),
         ("threshold", report.threshold),
         ("theoretical_lower_bound", report.theoretical_lower_bound),
     ]

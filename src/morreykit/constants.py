@@ -84,14 +84,10 @@ class ConstantEstimate:
 
 @dataclass(frozen=True)
 class NonEll1nReport:
-    """Outcome of one witness-family verification run, with the family."""
+    """Outcome of one witness-family verification run.  The family holds its
+    params, n, delta, epsilon and shared_norm."""
 
     passed: bool
-    params: MorreyParams
-    n: int
-    delta: float
-    epsilon: float
-    shared_norm: float
     threshold: float
     theoretical_lower_bound: float
     combinations: SignedCombinationReport
@@ -235,14 +231,15 @@ def _check_envelope(family: WitnessFamily, report: SignedCombinationReport) -> N
     """Every combination norm must sit inside the two-sided analytic bound."""
     lower = theoretical_lower_bound(family)
     upper = float(family.n)
-    for r in report.reports:
+    for pattern, r in zip(report.patterns, report.reports):
+        where = f"pattern {pattern}, ball {r.argmax_ball}"
         if r.value < lower * (1.0 - _ENVELOPE_SLACK):
             raise NumericalFailure(
-                f"combination norm {r.value} fell below the analytic bound {lower}"
+                f"combination norm {r.value} at {where} fell below the analytic bound {lower}"
             )
         if r.value > upper * (1.0 + _ENVELOPE_SLACK):
             raise NumericalFailure(
-                f"combination norm {r.value} exceeds the cap {upper}"
+                f"combination norm {r.value} at {where} exceeds the cap {upper}"
             )
 
 
@@ -256,11 +253,6 @@ def verify_non_ell1n(params: MorreyParams, n: int, delta: float,
     threshold = n * (1.0 - delta)
     return NonEll1nReport(
         passed=bool(report.min_over_patterns > threshold),
-        params=params,
-        n=n,
-        delta=delta,
-        epsilon=family.epsilon,
-        shared_norm=family.shared_norm,
         threshold=threshold,
         theoretical_lower_bound=theoretical_lower_bound(family),
         combinations=report,

@@ -23,7 +23,8 @@ class NumericalFailure(RuntimeError):
 
 
 def thread_count() -> int:
-    """Worker count for internal parallelism (default 1, override via env)."""
+    """The MORREYKIT_THREADS worker count (default 1).  No library path reads
+    it; perfbench/run.py records it in its run metadata."""
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:
         return 1
@@ -248,7 +249,6 @@ class NormMethod(str, Enum):
     CLOSED_FORM = "closed_form"
     CENTERED_SEARCH = "centered_search"
     OFFCENTER_SEARCH = "offcenter_search"
-    MONTE_CARLO = "monte_carlo"
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,7 @@
 """Brute-force norm evaluation: off-center ball integrals via the radial
 reduction, a supremum search over one fixed set of balls (a grid of center
 distances and radii plus the window-corner balls) with a batched local
-refinement, shared by profiles on the same annuli, and Monte Carlo
-cross-checks.
+refinement, shared by profiles on the same annuli.
 
 For a radial integrand, the integral over a ball B(a, R) collapses to
 
@@ -34,21 +33,14 @@ from .core import (
     ParameterError,
     PiecewiseRadialPower,
     sphere_area,
-    thread_count,
 )
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Monte Carlo samples and seed of ball_p_integral_mc; the seed also draws
-    oracle-compare's random profiles.  The supremum search has no settings."""
+    """The seed of oracle-compare's random profiles; the search has no settings."""
 
-    mc_samples: int = 1_000_000
     rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.mc_samples < 1:
-            raise ParameterError("mc_samples must be >= 1")
 
 
 DEFAULT_SEARCH = SearchConfig()
@@ -93,10 +85,13 @@ def shell_area(d: int, r, center_dist: float, radius: float):
         inside_pos = np.abs(r - a) < big_r
         inside_neg = r + a < big_r
         return inside_pos.astype(float) + inside_neg.astype(float)
-    # theta is pi below the window of a ball that holds the origin, 0 beyond it.
+    # tan^2(theta/2) = e_hi m1 / (m2 (r + w_hi)), (m1, m2) = (e_lo, r + w_lo) if
+    # R < a, else (r + w_lo, e_lo): no cosine cancels.  theta is pi below the
+    # window of a ball that holds the origin, 0 beyond it.
     w_lo, w_hi = abs(big_r - a), big_r + a
-    theta = _window_angle(np.maximum(r - w_lo, 0.0), np.maximum(w_hi - r, 0.0), r,
-                          w_lo, w_hi, big_r < a)
+    e_lo, e_hi = np.maximum(r - w_lo, 0.0), np.maximum(w_hi - r, 0.0)
+    m1, m2 = (e_lo, r + w_lo) if big_r < a else (r + w_lo, e_lo)
+    theta = 2.0 * np.arctan2(np.sqrt(e_hi * m1), np.sqrt(m2 * (r + w_hi)))
     return sphere_area(d - 1) * r ** (d - 1) * sin_power_integral(d - 2, theta)
 
 
@@ -115,8 +110,8 @@ def _segment_arrays(profile: PiecewiseRadialPower):
     return lo, hi, cp
 
 
-#: _cap_mass: Q (and 2Q) Gauss-Legendre nodes, the bound on |I_2Q - I_Q| per panel
-#: relative to the window mass so far, and the most bisections and panels.
+#: ball_p_integral's cap rule: Q (and 2Q) Gauss-Legendre nodes, the bound on |I_2Q - I_Q|
+#: per panel relative to the window mass so far, and the most bisections and panels.
 _CAP_NODES, _CAP_RTOL, _CAP_SPLITS, _CAP_PANELS = 16, 1e-14, 60, 4096
 
 
@@ -134,29 +129,14 @@ def _gauss_legendre(n: int):
     return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * dp * dp)
 
 
-def _window_ends(s, big, small):
-    """Distances s - w_lo, w_hi - s of radii s to the window (big - small, big + small),
-    clipped at 0; exact big - small if big <= 2 small, else s - big (Sterbenz)."""
-    e_lo = np.where(big <= 2.0 * small, s - (big - small), (s - big) + small)
-    return np.maximum(e_lo, 0.0), np.maximum((big - s) + small, 0.0)
-
-
-def _window_angle(e_lo, e_hi, r, w_lo, w_hi, outside):
-    """Cap angle theta of the sphere {|x| = r} inside B(a, R) from r's distances
-    e_lo, e_hi to the window ends (w_lo, w_hi) = (|R - a|, R + a); outside is
-    R < a.  tan^2(theta/2) = e_hi m1 / (m2 (r + w_hi)) with (m1, m2) = (e_lo,
-    r + w_lo) if R < a, else (r + w_lo, e_lo), so no cosine cancels."""
-    m1, m2 = (e_lo, r + w_lo) if outside else (r + w_lo, e_lo)
-    return 2.0 * np.arctan2(np.sqrt(e_hi * m1), np.sqrt(m2 * (r + w_hi)))
-
-
 def ball_p_integral(profile: PiecewiseRadialPower, ball: Ball) -> float:
     """int over the ball of |profile|^p, to near machine accuracy.
 
-    Below max(R - a, 0) every sphere lies wholly inside the ball, so that
-    part is the closed-form shell integral.  Above it, in the window
-    (|R - a|, R + a), only a cap of each sphere does.  For d = 1 the cap is
-    one of the two points {-r, +r}, half the shell; for d >= 2 see _cap_mass.
+    Below max(R - a, 0) every sphere lies wholly inside the ball: the
+    closed-form shell integral.  In the window (|R - a|, R + a) only a cap of
+    each sphere does: for d = 1 one of the points {-r, +r}, half the shell;
+    for d >= 2 the batched objective's cap rule, run adaptively with exact
+    window ends (_adaptive_cap_mass).
     """
     params, d = profile.params, profile.params.d
     a, big_r = ball.center_dist, ball.radius
@@ -171,107 +151,138 @@ def ball_p_integral(profile: PiecewiseRadialPower, ball: Ball) -> float:
         if d == 1:
             total += 0.5 * cp_k * shell_integral(params, max(lo_k, cap_lo), min(hi_k, cap_hi))
     if d >= 2 and a > 0.0:
-        total += _cap_mass(params, a, big_r, lo, hi, cp)
+        total += _adaptive_cap_mass(params, a, big_r, lo, hi, cp)
     return float(total)
 
 
-def _cap_mass(params, a, big_r, ann_lo, ann_hi, cp):
-    """Window mass of B(a, R), d >= 2: the sum over annuli (ann_lo, ann_hi) of
-    cp omega_(d-1) int r^(alpha-1) S_(d-2)(theta) dr over their parts in the
-    window, with S_m(t) = int_0^t sin^m, by one vectorised quadrature.
+def _cap_pieces(d, alpha, a, big_r, ends):
+    """Set-up of the cap rule on the pieces (ends[0], ends[1]) of the windows
+    (w_lo, w_hi) = (|R - a|, R + a) of the balls B(a, R), d >= 2; a piece's
+    ends are its annulus' ends, or any radii between them and the window.
 
-    On the window (w_lo, w_hi) of width W = 2 min(a, R), r = w_lo + W sin^2(phi/2)
-    (Sidi's sin^2 transformation, dr = (W/2) sin phi dphi) makes theta smooth at
-    both window ends and gives r's distances to them without cancellation;
-    lengths are in units of w_hi.  A phi-panel whose Q- and 2Q-point
-    Gauss-Legendre values differ by at most _CAP_RTOL times the window mass
-    found so far adds its 2Q value; the others are bisected, all in the same
-    arrays.  Sums use einsum: a BLAS matvec's thread start-up costs more.
+    A piece's mass is omega_(d-1) int r^(alpha-1) S_(d-2)(theta) dr, S_m(t) =
+    int_0^t sin^m.  With (big, small) = (max, min)(a, R), W = 2 small and
+    r = w_lo + W sin^2(phi/2), it is taken in t = tan(phi/4) from w_lo, or in
+    t' = tan((pi - phi)/4) = (1 - t) / (1 + t) from w_hi, which swaps s and c
+    and keeps dr's form.  With s = t / (1 + t^2), c = (1 - t^2) / (2 + 2 t^2),
+    g = (big - small) / 4 small: r - w_lo = 4 W s^2, w_hi - r = 4 W c^2,
+    dr = 16 W s c dt / (1 + t^2), and tan^2(theta/2) = c^2 (s^2 + g_in) /
+    ((s^2 + g_out) (s^2 + big / 4 small)) (shell_area), (g_in, g_out) = (g, 0)
+    if R >= a else (0, g): ratios, no trig and no cancelling difference.  When
+    alpha < 1 the t-nodes are in y, (z0 + y^2)^P = g + t^2 with P = 1 + 1/alpha
+    and z0 = g^(1/P): r^(alpha-1) t dt is P y (z0 + y^2)^alpha dy, up to a
+    smooth factor.  Returns the (2 x pieces) ends in t (y) and in t', low end
+    first; the integrand's constants, columns or, for one ball, scalars; and
+    the pieces' factors in t (y) and in t': 32 small from dr, 2 from theta/2
+    (d = 2) or T / (1 + T) (d = 3), omega_(d-1) and (8 small)^(alpha-1), as
+    r = 8 small (s^2 + g/2).
     """
-    d, alpha = params.d, params.alpha
-    big, small = max(a, big_r), min(a, big_r)
-    w_lo, w_hi = big - small, big + small
-    s_lo, s_hi = np.maximum(ann_lo, w_lo), np.minimum(ann_hi, w_hi)
+    big, small = np.maximum(a, big_r), np.minimum(a, big_r)
+    # The ends' distances to w_lo and w_hi: big - small is exact if
+    # big <= 2 small, else s - big (Sterbenz).  An end at or beyond a window
+    # end is at distance 0 from it, and t is 0 or 1 there, exactly, however
+    # fl(big -+ small) rounds.
+    e_lo = np.where(big <= 2.0 * small, ends - (big - small), (ends - big) + small)
+    e_lo, e_hi = np.sqrt(np.maximum(e_lo, 0.0)), np.sqrt(np.maximum((big - ends) + small, 0.0))
+    root_w = np.sqrt(2.0 * small)
+    t = np.minimum(e_lo / (e_hi + root_w), 1.0)
+    top = np.minimum(e_hi / (e_lo + root_w), 1.0)[::-1]
+    g = 0.25 * (big - small) / small
+    consts = [0.5 * g, g * (big_r >= a), g * (big_r < a), 0.25 * big / small]
+    scale = top_scale = (64.0 if d <= 3 else 32.0) * sphere_area(d - 1) \
+        * small * (8.0 * small) ** (alpha - 1.0)
+    if alpha < 1.0:  # g > 0 keeps y defined at R = a
+        power, g = 1.0 + 1.0 / alpha, np.maximum(g, 1e-300)
+        z0 = g ** (1.0 / power)
+        t = np.sqrt(z0 * np.expm1(np.log1p(t * t / g) / power))
+        consts += [g, 1.0 / z0]
+        scale = power * scale / z0
+    return t, top, consts, (scale, top_scale)
 
-    def angle(s):
-        e_lo, e_hi = _window_ends(s, big, small)
-        return 2.0 * np.arctan2(np.sqrt(e_lo), np.sqrt(e_hi))
-    lo, hi = np.where(s_lo > w_lo, angle(s_lo), 0.0), angle(s_hi)
-    # From the window's lower end, r^(alpha-1) ~ phi^(2 alpha - 1) as R -> a,
-    # too steep for bisection when alpha < 1: phi = t^(1/alpha) makes it ~ t.
-    power = np.where((lo == 0.0) & (alpha < 1.0), 1.0 / alpha, 1.0)
-    owner = np.flatnonzero((s_hi > s_lo) & (cp > 0.0))  # the annuli with window mass
-    lo, hi = lo[owner], hi[owner] ** (1.0 / power[owner])
+
+def _cap_integrand(d, alpha, y, consts, top=False):
+    """The cap rule's integrand at nodes y (pieces x nodes) in t, or in t' if
+    top, with _cap_pieces' constants as (pieces x 1) columns or scalars; y is
+    overwritten.  With v = 1 / (1 + t^2) it is v^2 (v - 1/2) y (s^2 + g/2)^(alpha-1)
+    cap(tan^2(theta/2)); in y (alpha < 1, not top), P y (g + t^2) / (z0 + y^2)
+    = t dt/dy takes y's place, P / z0 aside.  v - 1/2 cancels near t = 1."""
+    half_g, g_in, g_out, big_q, *grade = consts
+    t2 = y * y
+    if grade and not top:
+        g, inv_z0 = grade
+        u = t2 * inv_z0
+        t2 = np.expm1(np.log1p(u) * (1.0 + 1.0 / alpha)) * g
+        y *= (t2 + g) / (u + 1.0)
+    # In place where an array is spent: a block's temporaries stay few.
+    v = t2 + 1.0
+    np.divide(1.0, v, out=v)
+    s2 = t2 * v
+    s2 *= v
+    c = v - 0.5
+    f = np.multiply(v, v, out=v)
+    f *= c
+    f *= y
+    c2 = np.multiply(c, c, out=t2)
+    s2, c2 = (c2, s2) if top else (s2, c2)
+    if alpha != 1.0:
+        f *= (s2 + half_g) ** (alpha - 1.0)
+    num = np.add(s2, g_in, out=y)
+    num *= c2
+    den = np.add(s2, g_out, out=c)
+    den *= np.add(s2, big_q, out=c2)
+    if d == 3:  # 1 - cos(theta) = 2 T / (1 + T), T = tan^2(theta/2)
+        den += num
+        f *= np.divide(num, den, out=num)
+    else:
+        half = np.arctan(np.sqrt(np.divide(num, den, out=num), out=num), out=num)
+        f *= half if d == 2 else sin_power_integral(d - 2, 2.0 * half)
+    return f
+
+
+def _adaptive_cap_mass(params, a, big_r, ann_lo, ann_hi, cp):
+    """Window mass of B(a, R), d >= 2: the masses of the annuli (ann_lo,
+    ann_hi) that meet the window times cp, by one vectorised adaptive
+    quadrature of the cap rule (_cap_pieces).  A piece that starts above the
+    window's midpoint is taken in t' from w_hi, where v - 1/2 does not
+    cancel; the others in t (y when alpha < 1), as in _BatchObjective.  A
+    panel whose Q- and 2Q-point Gauss-Legendre values differ by at most
+    _CAP_RTOL times the window mass found so far adds its 2Q value; the
+    others are bisected, all in the same arrays.  Sums use einsum: a BLAS
+    matvec's thread start-up costs more."""
+    d, alpha = params.d, params.alpha
+    owner = np.flatnonzero((ann_hi > abs(big_r - a)) & (ann_lo < big_r + a) & (cp > 0.0))
+    ends = np.array([ann_lo[owner], ann_hi[owner]])
+    t, top, consts, scale = _cap_pieces(d, alpha, a, big_r, ends)
+    flip = top[1] <= math.sqrt(2.0) - 1.0  # tan(pi/8): from above the midpoint
+    lo, hi = np.where(flip, top, t)
+    weight = cp[owner] * np.where(flip, scale[1], scale[0])
+    piece = np.arange(owner.size)
     (nodes, weights), (nodes2, weights2) = map(_gauss_legendre, (_CAP_NODES, 2 * _CAP_NODES))
     nodes, total = np.append(nodes, nodes2), 0.0
     for level in range(_CAP_SPLITS + 1):
         span = hi - lo
-        t = lo[:, None] + span[:, None] * nodes
-        half = 0.5 * t ** power[owner, None]
-        sin_h, cos_h = np.sin(half), np.cos(half)
-        e_lo, e_hi = 2.0 * small / w_hi * sin_h ** 2, 2.0 * small / w_hi * cos_h ** 2
-        # r > 0 keeps r^(alpha - 1) finite where phi underflows at R = a.
-        r = np.maximum(w_lo / w_hi + e_lo, np.finfo(float).tiny)
-        theta = _window_angle(e_lo, e_hi, r, w_lo / w_hi, 1.0, big_r < a)
-        cap = (2.0 * np.sin(0.5 * theta) ** 2 if d == 3  # 1 - cos, uncancelled
-               else theta if d == 2 else sin_power_integral(d - 2, theta))
-        cap *= r ** (alpha - 1.0) * sin_h * cos_h
-        cap *= half / t  # (d phi / dt) / (2 power)
-        weight = 2.0 * span * power[owner] * cp[owner]
-        coarse = weight * np.einsum("ij,j->i", cap[:, :_CAP_NODES], weights)
-        fine = weight * np.einsum("ij,j->i", cap[:, _CAP_NODES:], weights2)
+        y = lo[:, None] + span[:, None] * nodes
+        f, mirror = np.empty_like(y), flip[piece]
+        for rows, side in ((~mirror, False), (mirror, True)):
+            if rows.any():
+                f[rows] = _cap_integrand(d, alpha, y[rows], consts, side)
+        part = span * weight[piece]
+        coarse = part * np.einsum("ij,j->i", f[:, :_CAP_NODES], weights)
+        fine = part * np.einsum("ij,j->i", f[:, _CAP_NODES:], weights2)
         done = np.abs(fine - coarse) <= _CAP_RTOL * (total + fine.sum())
         total += fine[done].sum()
         if done.all():
             break
-        lo, hi, owner = lo[~done], hi[~done], owner[~done]
+        lo, hi, piece = lo[~done], hi[~done], piece[~done]
         if level == _CAP_SPLITS or 2 * lo.size > _CAP_PANELS:
+            k = owner[piece[0]]
             raise NumericalFailure(
                 f"cap-region quadrature did not converge in {level} bisections: ball "
                 f"center_dist={a!r}, radius={big_r!r}, d={d}, alpha={alpha!r}, annulus "
-                f"{ann_lo[owner[0]].item(), ann_hi[owner[0]].item()}")
+                f"{ann_lo[k].item(), ann_hi[k].item()}")
         mid = 0.5 * (lo + hi)
-        lo, hi, owner = np.append(lo, mid), np.append(mid, hi), np.append(owner, owner)
-    return sphere_area(d - 1) * total * (2.0 * small) * w_hi ** (alpha - 1.0)
-
-
-def ball_p_integral_mc(profile: PiecewiseRadialPower, ball: Ball,
-                       cfg: SearchConfig = DEFAULT_SEARCH):
-    """Monte Carlo estimate of the ball p-integral; returns (value, std_error).
-
-    Samples are uniform in the ball, drawn one after another in
-    thread_count() streams spawned from the seed, so the result is
-    reproducible for a fixed seed and stream count.
-    """
-    params = profile.params
-    d = params.d
-    a, big_r = ball.center_dist, ball.radius
-    lo, hi, cp = _segment_arrays(profile)
-    exponent = -d * params.p / params.q
-    volume = params.ball_volume(big_r)
-
-    streams = thread_count()
-    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(streams)
-    per_stream = int(math.ceil(cfg.mc_samples / streams))
-
-    def run(seed):
-        rng = np.random.default_rng(seed)
-        direction = rng.normal(size=(per_stream, d))
-        direction /= np.linalg.norm(direction, axis=1)[:, None]
-        pts = direction * (big_r * rng.random(per_stream) ** (1.0 / d))[:, None]
-        pts[:, 0] += a
-        r = np.linalg.norm(pts, axis=1)
-        vals = np.zeros(per_stream)
-        for lo_k, hi_k, cp_k in zip(lo, hi, cp):
-            mask = (r > lo_k) & (r < hi_k)
-            if cp_k != 0.0 and mask.any():
-                vals[mask] = cp_k * r[mask] ** exponent
-        return vals
-
-    samples = np.concatenate([run(seed) for seed in seeds])
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(samples.size))
-    return volume * mean, volume * stderr
+        lo, hi, piece = np.append(lo, mid), np.append(mid, hi), np.append(piece, piece)
+    return total
 
 
 def monotone_profile_check(profile: PiecewiseRadialPower) -> bool:
@@ -311,11 +322,10 @@ def monotone_profile_check(profile: PiecewiseRadialPower) -> bool:
 
 
 #: Balls per block of _BatchObjective.__call__ and per objective call of the
-#: search, and (piece, node) points per cap block.  A block's temporaries
-#: then stay near 140 kB
-#: (1024 balls x 17 profiles) and 56 kB, small enough to stay in cache and to
-#: come back from the heap on the next block rather than being mapped and
-#: faulted in afresh, and trimmed again, by every call.
+#: search, and (piece, node) points per cap block.  A block's temporaries then
+#: stay near 140 kB (1024 balls x 17 profiles) and 56 kB, small enough to stay
+#: in cache and to come back from the heap on the next block rather than being
+#: mapped and faulted in afresh, and trimmed again, by every call.
 _BALL_BLOCK = 1024
 _PANEL_BLOCK = 7168
 
@@ -338,18 +348,18 @@ class _BatchObjective:
     precomputed (K+1) x P prefix sums of whole-annulus masses plus one
     partial annulus.  Inside the window only the annuli that meet it carry
     mass, a contiguous index range because the annuli are sorted; those
-    (ball, annulus) pairs are listed ball by ball and each pair's piece of
-    the window gets a fixed rule (_cap_masses), and a segment sum
-    (np.bincount over (ball, profile) bins) adds pair masses times |coeff|^p
-    back to the balls.  So a ball costs O(P) plus its active pairs, and only
-    the cap-angle factor of d >= 4 needs scipy (sin_power_integral).  For
-    d = 1 the folded interval (a - R, a + R) is twice the full part plus the
-    window, whose cap factor is exactly 1.  Calls are scored in blocks of
-    _BALL_BLOCK balls and cap pieces in blocks of _PANEL_BLOCK points, and
-    every sum runs in a fixed order, so a ball's value does not depend on the
-    call or block it comes in.  Accuracy only has to find the right ball
-    (_PIECE_NODES): the search re-scores each winner with the adaptive
-    integral, abs_uncertainty = max(|batched - rescored value|, 1e-9 value).
+    (ball, annulus) pairs are listed ball by ball, each pair's piece of the
+    window gets ball_p_integral's cap rule at a fixed _PIECE_NODES nodes in t
+    (_cap_masses), and a segment sum (np.bincount over (ball, profile) bins)
+    adds pair masses times |coeff|^p back to the balls.  So a ball costs O(P)
+    plus its active pairs, and only the cap-angle factor of d >= 4 needs
+    scipy (sin_power_integral).  For d = 1 the folded interval (a - R, a + R)
+    is twice the full part plus the window, whose cap factor is exactly 1.
+    Calls are scored in blocks of _BALL_BLOCK balls and cap pieces in blocks
+    of _PANEL_BLOCK points, and every sum runs in a fixed order, so a ball's
+    value does not depend on the call or block it comes in.  Accuracy only
+    has to find the right ball (_PIECE_NODES): the search re-scores each
+    winner with the adaptive integral.
     """
 
     def __init__(self, profiles):
@@ -366,7 +376,7 @@ class _BatchObjective:
             np.abs(np.array([pr.coefficients for pr in profiles]).T) ** params.p)
         self.vol_coeff = params.sphere_area / self.d
         fine = self.alpha < 0.5 or self.d >= 4
-        self.nodes, weights = _gauss_legendre(_FINE_PIECE_NODES if fine else _PIECE_NODES)
+        self.nodes, self.weights = _gauss_legendre(_FINE_PIECE_NODES if fine else _PIECE_NODES)
         u_lo = _log_pow(self.lo, self.alpha)
         whole = ((_log_pow(self.hi, self.alpha) - u_lo) / self.alpha)[:, None] * self.cp
         self.prefix = np.cumsum(np.vstack([np.zeros_like(self.cp[:1]), whole]), axis=0)
@@ -374,10 +384,6 @@ class _BatchObjective:
         self.u_lo_ext = np.append(u_lo, np.inf)
         self.cp_ext = np.vstack([self.cp, np.zeros_like(self.cp[:1])])
         self.full_factor = 2.0 if self.d == 1 else sphere_area(self.d)
-        # _cap_masses' factors (d >= 2): 32 small from dr, 2 from theta/2 (d = 2)
-        # or T / (1 + T) (d = 3), and P = 1 + 1/alpha from t dt/dy when alpha < 1.
-        self.cap_weights = (64.0 if self.d <= 3 else 32.0) * sphere_area(max(self.d - 1, 1)) \
-            * (1.0 + 1.0 / self.alpha if self.alpha < 1.0 else 1.0) * weights
 
     def __call__(self, center, radius):
         """(balls x P) array of Morrey quantities, 0 where a ball has no mass."""
@@ -439,66 +445,29 @@ class _BatchObjective:
         indptr = np.concatenate(([0], np.cumsum(counts)))
         ball = np.repeat(np.arange(a.size), counts)
         ann = np.arange(ball.size) - indptr[ball] + first[ball]
-        ends = np.empty((2, ball.size))
-        np.maximum(self.lo[ann], w_lo[ball], out=ends[0])
-        np.minimum(self.hi[ann], w_hi[ball], out=ends[1])
+        ends = np.array([self.lo[ann], self.hi[ann]])  # the pairs' annulus ends
         if self.d == 1:
+            np.maximum(ends[0], w_lo[ball], out=ends[0])
+            np.minimum(ends[1], w_hi[ball], out=ends[1])
             u = _log_pow(ends, self.alpha)
             return ball, ann, np.clip(u[1] - u[0], 0.0, None) / self.alpha
         return ball, ann, self._cap_masses(a[ball], big_r[ball], ends)
 
     def _cap_masses(self, a, big_r, ends):
-        """d >= 2: omega_(d-1) int r^(alpha-1) S_(d-2)(theta) dr over the window
-        pieces (ends[0], ends[1]) of the balls B(a, R), by Gauss-Legendre on
-        _cap_mass's r = w_lo + W sin^2(phi/2) in t = tan(phi/4).  With W = 2 small,
-        s = t / (1 + t^2), c = (1 - t^2) / (2 + 2 t^2), g = (big - small) / 4 small:
-        r - w_lo = 4 W s^2, w_hi - r = 4 W c^2, dr = 16 W s c dt / (1 + t^2), and
-        tan^2(theta/2) = c^2 (s^2 + g_in) / ((s^2 + g_out) (s^2 + big / 4 small))
-        (_window_angle), (g_in, g_out) = (g, 0) if R >= a else (0, g): ratios, no
-        trig and no cancelling difference.  When alpha < 1 the nodes are in y,
-        (z0 + y^2)^P = g + t^2 with P = 1 + 1/alpha and z0 = g^(1/P), where
-        r^(alpha-1) t dt is P y (z0 + y^2)^alpha dy up to a smooth factor."""
-        big, small = np.maximum(a, big_r), np.minimum(a, big_r)
-        e_lo, e_hi = _window_ends(ends, big, small)
-        t = np.sqrt(e_lo) / (np.sqrt(e_hi) + np.sqrt(2.0 * small))
-        g = 0.25 * (big - small) / small
-        g_in, g_out, half_g = g * (big_r >= a), g * (big_r < a), 0.5 * g
-        big_q = 0.25 * big / small
-        scale = small * (8.0 * small) ** (self.alpha - 1.0)  # r = 8 small (s^2 + g/2)
-        graded = self.alpha < 1.0
-        if graded:  # g > 0 keeps y defined at R = a
-            power, g = 1.0 + 1.0 / self.alpha, np.maximum(g, 1e-300)
-            z0 = g ** (1.0 / power)
-            t = np.sqrt(z0 * np.expm1(np.log1p(t * t / g) / power))
-            scale, inv_z0 = scale / z0, 1.0 / z0
+        """d >= 2: the masses of the balls' window pieces in the annuli
+        (ends[0], ends[1]), by _cap_pieces' rule at fixed nodes in t (y)."""
+        t, _, consts, scale = _cap_pieces(self.d, self.alpha, a, big_r, ends)
         lo, span = t[0], t[1] - t[0]
         out = np.empty(a.size)
         step = _PANEL_BLOCK // self.nodes.size
         for first in range(0, a.size, step):
             part = slice(first, first + step)
-            y = lo[part, None] + span[part, None] * self.nodes
-            t2 = y * y
-            if graded:  # t dt/dy = P y (g + t^2) / (z0 + y^2)
-                u = t2 * inv_z0[part, None]
-                t2 = np.expm1(np.log1p(u) * power) * g[part, None]
-                y *= (t2 + g[part, None]) / (u + 1.0)
-            v = 1.0 / (t2 + 1.0)
-            s2 = t2 * v * v
-            c = v - 0.5
-            f = v * v * c * y
-            if self.alpha != 1.0:
-                f *= (s2 + half_g[part, None]) ** (self.alpha - 1.0)
-            num = (s2 + g_in[part, None]) * (c * c)
-            den = (s2 + g_out[part, None]) * (s2 + big_q[part, None])
-            if self.d == 3:  # 1 - cos(theta) = 2 T / (1 + T), T = tan^2(theta/2)
-                f *= num / (num + den)
-            else:
-                half = np.arctan(np.sqrt(num / den))
-                f *= half if self.d == 2 else sin_power_integral(self.d - 2, 2.0 * half)
+            f = _cap_integrand(self.d, self.alpha, lo[part, None] + span[part, None] * self.nodes,
+                               [column[part, None] for column in consts])
             # einsum, not a BLAS matvec: each row's sum has one fixed order, so
             # a piece's mass does not depend on the block it is scored in.
-            out[part] = np.einsum("ij,j->i", f, self.cap_weights)
-        return out * span * scale
+            out[part] = np.einsum("ij,j->i", f, self.weights)
+        return out * span * scale[0]
 
 
 #: The search's balls: _CENTERS center distances by _RADII radii, and the

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -24,6 +25,7 @@ from morreykit import (
     verify_non_ell1n,
 )
 from morreykit.constants import (
+    _check_envelope,
     _combination_profiles,
     estimate_constants,
 )
@@ -206,11 +208,29 @@ class TestVerifyNonEll1n:
         assert report.theoretical_lower_bound > report.threshold
         assert len(report.combinations.reports) == 2 ** (n - 1)
 
+    @pytest.mark.parametrize("value, failure", [(0.5, "fell below the analytic bound"),
+                                                (3.5, "exceeds the cap")])
+    def test_envelope_failure_names_pattern_and_ball(self, value, failure):
+        family = build_witnesses(P121, 3, 0.1)
+        report = min_signed_norm(family)
+        reports = list(report.reports)
+        reports[1] = dataclasses.replace(reports[1], value=value)
+        sabotaged = dataclasses.replace(report, reports=tuple(reports),
+                                        min_over_patterns=min(r.value for r in reports))
+        with pytest.raises(NumericalFailure) as caught:
+            _check_envelope(family, sabotaged)
+        message = str(caught.value)
+        assert failure in message
+        assert f"pattern {report.patterns[1]}" in message
+        assert f"ball {reports[1].argmax_ball}" in message
+
     def test_report_carries_inputs(self):
         report = verify_non_ell1n(P121, 2, 0.3, epsilon=0.01)
-        assert report.epsilon == 0.01
+        family = report.family
+        assert (family.params, family.n, family.delta) == (P121, 2, 0.3)
+        assert family.epsilon == 0.01
         assert report.threshold == 2 * 0.7
-        assert report.shared_norm > 0
+        assert family.shared_norm > 0
 
 
 class TestJamesLowerBound:

@@ -18,7 +18,6 @@ from morreykit import (
     SearchConfig,
     annulus_p_integral,
     ball_p_integral,
-    ball_p_integral_mc,
     centered_norm,
     monotone_profile_check,
     morrey_norm_numeric,
@@ -175,12 +174,11 @@ class TestBallPIntegral:
     @pytest.mark.parametrize("d", [1, 2])
     def test_library_mc_matches_adaptive(self, d):
         rng = np.random.default_rng(40 + d)
-        cfg = SearchConfig(mc_samples=1_000_000, rng_seed=77)
         params = MorreyParams(1.0 + rng.random(), 2.5 + rng.random(), d)
         profile = random_bounded_profile(params, rng)
         ball = Ball(float(rng.random()), float(0.3 + rng.random()))
         exact = ball_p_integral(profile, ball)
-        mc, se = ball_p_integral_mc(profile, ball, cfg)
+        mc, se = self.rejection_mc(profile, ball, 1_000_000, 77)
         assert abs(exact - mc) <= max(3.0 * se, 1e-12)
 
     @pytest.mark.parametrize("d", [4, 5])
@@ -193,9 +191,7 @@ class TestBallPIntegral:
         )
         ball = Ball(0.7, 0.45)
         exact = ball_p_integral(profile, ball)
-        mc, se = ball_p_integral_mc(
-            profile, ball, SearchConfig(mc_samples=1_000_000, rng_seed=d)
-        )
+        mc, se = self.rejection_mc(profile, ball, 1_000_000, d)
         assert abs(exact - mc) <= 3.0 * se
 
     def test_near_centered_ball_sliver(self):
@@ -257,15 +253,16 @@ class TestBallPIntegral:
             assert math.isclose(ball_p_integral(profile, ball), exact, rel_tol=1e-12), ball
 
     @staticmethod
-    def _mpmath_mass(profile, ball, mpmath):
-        """Independent reference at 30 digits: the cap-angle cosine in r,
-        integrated by mpmath's tanh-sinh quadrature in u = r^alpha."""
+    def _mpmath_mass(profile, ball, mpmath, digits=30):
+        """Independent reference: the cap-angle cosine in r, integrated by
+        mpmath's tanh-sinh quadrature in u = r^alpha."""
         params = profile.params
         d = params.d
-        with mpmath.workdps(30):
+        with mpmath.workdps(digits):
             alpha = d * (1 - mpmath.mpf(params.p) / params.q)
             a, big_r = mpmath.mpf(ball.center_dist), mpmath.mpf(ball.radius)
-            factor = {2: lambda t: t, 4: lambda t: t / 2 - mpmath.sin(2 * t) / 4}[d]
+            factor = {2: lambda t: t, 3: lambda t: 1 - mpmath.cos(t),
+                      4: lambda t: t / 2 - mpmath.sin(2 * t) / 4}[d]
 
             def cap(u):
                 r = u ** (1 / alpha)
@@ -312,6 +309,24 @@ class TestBallPIntegral:
         assert math.isclose(ball_p_integral(profile, Ball(0.5, 0.5)), float(exact),
                             rel_tol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("segment, ball", [
+        # the window's top few ulps of 1, above the annulus' inner end
+        ((1.0, 2.0), Ball(0.5, 0.5000000000000006)),
+        ((1.0, 2.0), Ball(0.5, 0.5000000000000004)),
+        ((1.0, 2.0), Ball(0.5, 0.5000000000000011)),
+        # a thin ball, its whole window inside the annulus
+        ((0.1, 1.0), Ball(0.5, 7e-12)),
+    ])
+    def test_window_ends_are_exact(self, d, segment, ball):
+        # The window's ends a -+ R are rounded sums: a piece that the window
+        # clips must end on its exact end, not on fl(a -+ R), which is off by
+        # up to 9% of these masses.
+        mpmath = pytest.importorskip("mpmath")
+        profile = PiecewiseRadialPower(MorreyParams(1.0, 2.0, d), ((Annulus(*segment), 1.0),))
+        exact = self._mpmath_mass(profile, ball, mpmath, digits=90)
+        assert math.isclose(ball_p_integral(profile, ball), exact, rel_tol=1e-13)
+
     def test_split_limit_names_the_ball(self, monkeypatch):
         monkeypatch.setattr(numeric, "_CAP_SPLITS", 0)
         params = MorreyParams(1.0, 1.16, 2)
@@ -328,22 +343,8 @@ class TestBallPIntegral:
         pure = PiecewiseRadialPower.pure_power(params)
         ball = Ball(0.7, 0.5)
         exact = ball_p_integral(pure, ball)
-        mc, se = ball_p_integral_mc(pure, ball,
-                                    SearchConfig(mc_samples=2_000_000, rng_seed=9))
+        mc, se = self.rejection_mc(pure, ball, 2_000_000, 9)
         assert abs(exact - mc) <= 3.0 * se
-
-    def test_mc_reproducible(self, monkeypatch):
-        params = MorreyParams(1.0, 2.0, 2)
-        profile = PiecewiseRadialPower.power_restriction(params, 0.1, 1.0)
-        ball = Ball(0.4, 0.8)
-        cfg = SearchConfig(mc_samples=200_000, rng_seed=5)
-        first = ball_p_integral_mc(profile, ball, cfg)
-        second = ball_p_integral_mc(profile, ball, cfg)
-        assert first == second
-        monkeypatch.setenv("MORREYKIT_THREADS", "3")
-        third = ball_p_integral_mc(profile, ball, cfg)
-        fourth = ball_p_integral_mc(profile, ball, cfg)
-        assert third == fourth  # fixed seed and stream count
 
 
 class TestMonotoneProfileCheck:
@@ -606,9 +607,11 @@ def _dense_objective(profiles, a, big_r):
             power = 1.0 + 1.0 / alpha
             z0 = offset ** (1.0 / power)
             ends = []
-            for s in (s_lo, s_hi):
-                e_lo = np.maximum((s - lo_end) - lo_err, 0.0)
-                e_hi = np.maximum((hi_end - s) + hi_err, 0.0)
+            # A piece that the window clips ends on the window's end, at
+            # distance 0 from it.
+            for s, lo_cut, hi_cut in ((s_lo, s_lo > lo, False), (s_hi, False, s_hi < hi)):
+                e_lo = np.where(lo_cut, 0.0, np.maximum((s - lo_end) - lo_err, 0.0))
+                e_hi = np.where(hi_cut, 0.0, np.maximum((hi_end - s) + hi_err, 0.0))
                 t = np.tan(0.5 * np.arctan2(np.sqrt(e_lo), np.sqrt(e_hi)))[..., None]
                 if alpha < 1.0:
                     t = np.sqrt(z0 * np.expm1(np.log1p(t * t / offset) / power))
@@ -933,8 +936,6 @@ def test_corner_balls_put_window_ends_on_boundaries():
 
 
 def test_search_config_validation():
-    with pytest.raises(ParameterError):
-        SearchConfig(mc_samples=0)
     for name in ("center_grid", "radius_grid", "quad_points"):
         with pytest.raises(TypeError):
             SearchConfig(**{name: 8})
