@@ -147,7 +147,7 @@ def _cmd_constants(args) -> int:
     for row in ladder.rows:
         label = _fmt(row.delta)
         pairs += [
-            (f"delta_{label}_epsilon", row.epsilon),
+            (f"delta_{label}_epsilon", row.family.epsilon),
             (f"delta_{label}_min_signed_norm", row.min_signed_norm),
             (f"delta_{label}_nj_ratio", row.nj_ratio),
         ]
@@ -176,15 +176,14 @@ def _cmd_sweep(args) -> int:
     lines = [f"{args.vary},theoretical_lower_bound,min_signed_norm,nj_ratio"]
     for value in values:
         value = float(value)
+        row_params, delta, epsilon = params, args.delta, None
         if args.vary == "epsilon":
-            family = constants.build_witnesses(params, args.n, args.delta,
-                                               epsilon=value)
+            epsilon = value
         elif args.vary == "delta":
-            family = constants.build_witnesses(params, args.n, value)
+            delta = value
         else:  # q
             row_params = MorreyParams(p=params.p, q=value, d=params.d)
-            family = constants.build_witnesses(row_params, args.n, args.delta)
-        row = constants.ladder_row(family)
+        row = constants.verify_non_ell1n(row_params, args.n, delta, epsilon=epsilon)
         lines.append(",".join(
             _fmt(x) for x in
             (value, row.theoretical_lower_bound, row.min_signed_norm, row.nj_ratio)

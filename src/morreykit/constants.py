@@ -8,11 +8,16 @@ annulus where all rows agree and the coefficients add up to n.  That single
 annulus already pushes the norm above n(1-eps^alpha)^(1/p) times the
 pure-power norm, which beats the n(1-delta) threshold whenever eps is small
 enough.
+
+Every combination norm, and the norm of the base function in the NJ ratio,
+is the profile's closed-form centered supremum (closedform.centered_norm),
+O(K) each; no ball search runs on this path.
 """
 
 import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,9 +34,10 @@ from .core import (
     warn_if_underflow,
 )
 from . import closedform
-from .numeric import DEFAULT_SEARCH, morrey_norms_shared
+from .numeric import DEFAULT_SEARCH
 
-#: Another name for DEFAULT_SEARCH: witness searches have no settings of their own.
+#: Another name for DEFAULT_SEARCH, kept only because perfbench/workloads.py
+#: passes it to its reference search; the witness path runs no search.
 WITNESS_SEARCH = DEFAULT_SEARCH
 
 JAMES = "james"
@@ -43,14 +49,13 @@ class SignedCombinationReport:
     """All 2^(n-1) signed-combination norms of a witness family.
 
     Patterns list the signs (s_2, ..., s_n); the first sign is pinned to +1
-    because the norm is even.  norm_value belongs to the minimizing pattern.
+    because the norm is even.  pattern is the minimizing one.
     """
 
     patterns: tuple
     reports: tuple
     min_over_patterns: float
     pattern: tuple
-    norm_value: float
 
     def __post_init__(self):
         values = [r.value for r in self.reports]
@@ -84,14 +89,24 @@ class ConstantEstimate:
 
 @dataclass(frozen=True)
 class NonEll1nReport:
-    """Outcome of one witness-family verification run.  The family holds its
-    params, n, delta, epsilon and shared_norm."""
+    """Outcome of one witness-family verification run, which is also one
+    row of the constants ladder.  The family holds its params, n, delta,
+    epsilon and shared_norm."""
 
     passed: bool
     threshold: float
     theoretical_lower_bound: float
+    nj_ratio: float
     combinations: SignedCombinationReport
     family: WitnessFamily
+
+    @property
+    def delta(self) -> float:
+        return self.family.delta
+
+    @property
+    def min_signed_norm(self) -> float:
+        return self.combinations.min_over_patterns
 
 
 @dataclass(frozen=True)
@@ -184,35 +199,26 @@ def _combination_profiles(family: WitnessFamily):
     return profiles
 
 
-def _signed_combinations(family: WitnessFamily, extra=()):
-    """All signed-combination norms, plus the norms of the profiles in
-    extra (on the family's annuli) scored as further columns of the same
-    shared search."""
-    jobs = _combination_profiles(family)
-    reports = morrey_norms_shared([profile for _, profile in jobs] + list(extra))
-    values = [r.value for r in reports[:len(jobs)]]
-    argmin = int(np.argmin(values))
-    combinations = SignedCombinationReport(
-        patterns=tuple(pattern for pattern, _ in jobs),
-        reports=tuple(reports[:len(jobs)]),
-        min_over_patterns=values[argmin],
-        pattern=jobs[argmin][0],
-        norm_value=values[argmin],
-    )
-    return combinations, reports[len(jobs):]
-
-
 def min_signed_norm(family: WitnessFamily) -> SignedCombinationReport:
     """Norms of all 2^(n-1) signed combinations and their minimum.
 
-    Combinations can mix signs, so their moduli need not be radially
-    monotone; every norm goes through the off-center search.  They all live
-    on the family's annuli, so one shared search scores every pattern
-    (numeric.morrey_norms_shared); each pattern's best ball is refined and
-    re-scored with the adaptive integral, and abs_uncertainty is
-    max(|batched value - rescored value|, 1e-9 * value).
+    Each norm is the combination's closed-form centered supremum
+    (closedform.centered_norm), a lower bound for its Morrey norm, which is
+    what the verdict needs.  Combinations can mix signs, so their moduli
+    need not be radially monotone, yet the off-center search finds no ball
+    above these values: test_witness_patterns_equal_their_centered_sup in
+    tests/test_numeric.py audits them against morrey_norms_shared to 1e-12.
     """
-    return _signed_combinations(family)[0]
+    jobs = _combination_profiles(family)
+    reports = tuple(closedform.centered_norm(profile) for _, profile in jobs)
+    values = [r.value for r in reports]
+    argmin = int(np.argmin(values))
+    return SignedCombinationReport(
+        patterns=tuple(pattern for pattern, _ in jobs),
+        reports=reports,
+        min_over_patterns=values[argmin],
+        pattern=jobs[argmin][0],
+    )
 
 
 def theoretical_lower_bound(family: WitnessFamily) -> float:
@@ -246,7 +252,8 @@ def _check_envelope(family: WitnessFamily, report: SignedCombinationReport) -> N
 def verify_non_ell1n(params: MorreyParams, n: int, delta: float,
                      epsilon: float | None = None) -> NonEll1nReport:
     """Check min over signs of ||f_1 +- ... +- f_n|| > n(1-delta) by direct
-    enumeration on a freshly built witness family, which the report carries."""
+    enumeration on a freshly built witness family, which the report carries,
+    and give the family's NJ ratio."""
     family = build_witnesses(params, n, delta, epsilon)
     report = min_signed_norm(family)
     _check_envelope(family, report)
@@ -255,23 +262,16 @@ def verify_non_ell1n(params: MorreyParams, n: int, delta: float,
         passed=bool(report.min_over_patterns > threshold),
         threshold=threshold,
         theoretical_lower_bound=theoretical_lower_bound(family),
+        nj_ratio=_family_nj_ratio(family, report),
         combinations=report,
         family=family,
     )
 
 
 @dataclass(frozen=True)
-class LadderRow:
-    delta: float
-    epsilon: float
-    min_signed_norm: float
-    nj_ratio: float
-    theoretical_lower_bound: float
-
-
-@dataclass(frozen=True)
 class ConstantsLadder:
-    """Per-delta witness results plus the two resulting lower bounds."""
+    """Per-delta witness verifications (NonEll1nReport rows) plus the two
+    resulting lower bounds."""
 
     params: MorreyParams
     n: int
@@ -292,45 +292,24 @@ def _validate_delta_sequence(delta_sequence) -> list:
     return deltas
 
 
-def ladder_row(family: WitnessFamily) -> LadderRow:
-    """One family's minimum signed norm and NJ ratio, from one shared search
-    in which functions[0], the NJ denominator, is one more column."""
-    report, (base,) = _signed_combinations(family, (family.functions[0],))
-    _check_envelope(family, report)
-    return LadderRow(
-        delta=family.delta,
-        epsilon=family.epsilon,
-        min_signed_norm=report.min_over_patterns,
-        nj_ratio=_family_nj_ratio(family, report, base.value),
-        theoretical_lower_bound=theoretical_lower_bound(family),
-    )
-
-
 def estimate_constants(params: MorreyParams, n: int, delta_sequence) -> ConstantsLadder:
-    """Run the witness ladder once and derive both lower bounds from it."""
-    deltas = _validate_delta_sequence(delta_sequence)
-    rows = []
-    best_min = (-math.inf, None)
-    best_ratio = (-math.inf, None)
-    for delta in deltas:
-        row = ladder_row(build_witnesses(params, n, delta))
-        rows.append(row)
-        if row.min_signed_norm > best_min[0]:
-            best_min = (row.min_signed_norm, delta)
-        if row.nj_ratio > best_ratio[0]:
-            best_ratio = (row.nj_ratio, delta)
-
+    """Run the witness ladder once and derive both lower bounds from it:
+    each is its quantity's largest row, the first one on ties."""
+    rows = tuple(verify_non_ell1n(params, n, delta)
+                 for delta in _validate_delta_sequence(delta_sequence))
     space = f"morrey(p={params.p}, q={params.q}, d={params.d})"
-    james = ConstantEstimate(
-        kind=JAMES, n=n, lower_bound=best_min[0],
-        witness=f"witness family at delta={best_min[1]}", space=space,
+
+    def estimate(kind, quantity):
+        best = max(rows, key=quantity)
+        return ConstantEstimate(kind=kind, n=n, lower_bound=quantity(best),
+                                witness=f"witness family at delta={best.delta}",
+                                space=space)
+
+    return ConstantsLadder(
+        params=params, n=n, rows=rows,
+        james=estimate(JAMES, attrgetter("min_signed_norm")),
+        von_neumann_jordan=estimate(VON_NEUMANN_JORDAN, attrgetter("nj_ratio")),
     )
-    nj = ConstantEstimate(
-        kind=VON_NEUMANN_JORDAN, n=n, lower_bound=best_ratio[0],
-        witness=f"witness family at delta={best_ratio[1]}", space=space,
-    )
-    return ConstantsLadder(params=params, n=n, rows=tuple(rows), james=james,
-                           von_neumann_jordan=nj)
 
 
 def _tuple_signed_norms(vectors: FiniteVectorTuple) -> np.ndarray:
@@ -344,8 +323,8 @@ def nj_ratio(obj) -> float:
 
     Equals 1 identically for Euclidean tuples: expanding the squares, every
     cross term is multiplied by a balanced set of signs and cancels.  For a
-    witness family, the denominator's norm of functions[0] is one more
-    column of the signed combinations' shared search.
+    witness family, every norm is a closed-form centered supremum (see
+    min_signed_norm).
     """
     if isinstance(obj, FiniteVectorTuple):
         norms = obj.vector_norms()
@@ -354,14 +333,14 @@ def nj_ratio(obj) -> float:
         signed = _tuple_signed_norms(obj)
         return float(np.sum(signed**2) / (signed.size * np.sum(norms**2)))
     if isinstance(obj, WitnessFamily):
-        combinations, (base,) = _signed_combinations(obj, (obj.functions[0],))
-        return _family_nj_ratio(obj, combinations, base.value)
+        return _family_nj_ratio(obj, min_signed_norm(obj))
     raise ParameterError(f"unsupported operand {type(obj).__name__}")
 
 
-def _family_nj_ratio(family: WitnessFamily, combinations: SignedCombinationReport,
-                     base: float) -> float:
+def _family_nj_ratio(family: WitnessFamily,
+                     combinations: SignedCombinationReport) -> float:
     # All family members share one modulus, hence the one norm base.
+    base = closedform.centered_norm(family.functions[0]).value
     signed = combinations.norm_values
     return float(np.sum(signed**2) / (signed.size * family.n * base**2))
 

@@ -24,6 +24,7 @@ from morreykit import (
     sign_matrix,
     verify_non_ell1n,
 )
+from morreykit import cli, numeric
 from morreykit.constants import (
     _check_envelope,
     _combination_profiles,
@@ -140,7 +141,6 @@ class TestMinSignedNorm:
         report = min_signed_norm(family)
         assert report.min_over_patterns > 2.7
         assert len(report.reports) == 4
-        assert report.norm_value == report.min_over_patterns
         assert report.pattern in report.patterns
 
     def test_sandwich(self):
@@ -172,7 +172,8 @@ class TestMinSignedNorm:
 
 
 class TestSharedSearch:
-    """One search for all patterns gives the single-profile results."""
+    """The witness path's pattern norms (centered suprema) and NJ ratio
+    equal what the single-profile search finds."""
 
     @pytest.mark.parametrize("params", [P121, P122])
     @pytest.mark.parametrize("n", [3, 4])  # even n zeroes some coefficients
@@ -231,6 +232,44 @@ class TestVerifyNonEll1n:
         assert family.epsilon == 0.01
         assert report.threshold == 2 * 0.7
         assert family.shared_norm > 0
+
+
+class TestWitnessPathRunsNoSearch:
+    """Every witness-path norm is a closed-form centered supremum: with the
+    batched search objective made to raise, the library calls and the CLI
+    commands on witness families all still run."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the witness path ran the ball search")
+
+        monkeypatch.setattr(numeric._BatchObjective, "__call__", refuse)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_library(self, n, d):
+        params = MorreyParams(1.0, 2.0, d)
+        assert verify_non_ell1n(params, n, 0.1).passed
+        ladder = estimate_constants(params, n, [0.3, 0.1])
+        family = build_witnesses(params, n, 0.1)
+        assert nj_ratio(family) == ladder.rows[1].nj_ratio
+        assert j_nj_inequality_check([family]).passed
+
+    @pytest.mark.parametrize("d", ["1", "2"])
+    @pytest.mark.parametrize("n", ["3", "5"])
+    def test_cli(self, capsys, n, d):
+        common = ["--d", d, "--n", n]
+        sweeps = [("epsilon", "0.002", "0.004"), ("delta", "0.3", "0.1"),
+                  ("q", "1.5", "3")]
+        commands = [["witness", *common], ["constants", *common]] + [
+            ["sweep", *common, "--vary", vary, "--start", start, "--stop", stop,
+             "--steps", "2"]
+            for vary, start, stop in sweeps
+        ]
+        for argv in commands:
+            assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out.count("verdict") == 1
 
 
 class TestJamesLowerBound:

@@ -541,14 +541,24 @@ class TestMorreyNormsShared:
             morrey_norms_shared([])
 
 
-@pytest.mark.parametrize("n, d", [(7, 1), (7, 2), (8, 1), (8, 2)])
-def test_witness_patterns_equal_their_centered_sup(n, d):
+@pytest.mark.parametrize("n, d, q", [
+    pytest.param(7, 1, 2.0, id="7-1"),
+    pytest.param(7, 2, 2.0, id="7-2"),
+    pytest.param(8, 1, 2.0, id="8-1"),
+    pytest.param(8, 2, 2.0, id="8-2"),
+    pytest.param(7, 3, 2.0, id="7-3"),
+    pytest.param(8, 3, 2.0, id="8-3"),
+    pytest.param(7, 2, 3.5, id="7-2-q3.5"),
+])
+def test_witness_patterns_equal_their_centered_sup(n, d, q):
     # Annuli down to eps^(2^(n-1)): on no signed combination of the delta = 0.1
     # witness family may the search land away from the closed-form centered
-    # supremum, neither above it nor below.
+    # supremum, neither above it nor below.  This audits the witness path
+    # (constants.min_signed_norm), which takes the centered supremum as each
+    # combination's norm and runs no search.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        family = build_witnesses(MorreyParams(1.0, 2.0, d), n, 0.1)
+        family = build_witnesses(MorreyParams(1.0, q, d), n, 0.1)
     jobs = _combination_profiles(family)
     reports = morrey_norms_shared([profile for _, profile in jobs])
     for (pattern, profile), report in zip(jobs, reports):
@@ -933,6 +943,18 @@ def test_corner_balls_put_window_ends_on_boundaries():
     assert np.all(np.isin(w_lo, b) & np.isin(w_hi, b))
     ends = set(zip(w_lo.tolist(), w_hi.tolist(), (big_r > a).tolist()))
     assert ends == {(lo, hi, holds) for lo, hi in pairs for holds in (True, False)}
+
+
+@pytest.mark.parametrize("d, radius", [(2, 0.00055), (3, 0.000866)])
+def test_compass_climbs_to_a_thin_shell_supremum(d, radius):
+    # One shell of relative width 1e-3.  The best ball spans the shell's
+    # thickness with neither window end on a boundary, so no grid or
+    # window-corner ball holds it and only the compass (numeric._refine)
+    # reaches it: without it the search ends 1.5% low at d = 2 and 14% low
+    # at d = 3.
+    profile = PiecewiseRadialPower.power_restriction(MorreyParams(1, 4, d), 1.0, 1.001)
+    inside = numeric._rescore(profile, Ball(1.0005, radius))
+    assert morrey_norm_numeric(profile).value >= inside * (1 - 1e-12)
 
 
 def test_search_config_validation():
