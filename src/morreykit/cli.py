@@ -304,8 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--random", type=int, default=None,
                        help="number of random profiles to check")
     p_oracle.add_argument("--tol", type=float, default=1e-3)
-    p_oracle.add_argument("--seed", type=int, default=numeric.DEFAULT_SEARCH.rng_seed,
-                          help="seed of the random profiles")
+    p_oracle.add_argument("--seed", type=int, default=0, help="seed of the random profiles")
     _add_param_flags(p_oracle)
     p_oracle.set_defaults(func=_cmd_oracle_compare)
 

@@ -9,10 +9,13 @@ with alpha = d - d p/q > 0, combined with the ball-volume weight
 scalar kernels, and the numeric module uses them too.  Powers are taken in
 the log domain so that very thin or very deep annuli keep full relative
 precision.  The centered supremum needs no search: the centered quantity is
-monotone between annulus boundaries (see centered_norm).
+monotone between annulus boundaries (see centered_sups), and one kernel
+gives it for every profile on a set of shared annuli.
 """
 
 import math
+
+import numpy as np
 
 from .core import (
     Annulus,
@@ -61,6 +64,35 @@ def morrey_quantity(params: MorreyParams, radius: float, mass: float) -> float:
     return math.exp((1.0 / q - 1.0 / p) * log_ball + math.log(mass) / p)
 
 
+def log_morrey_quantity(params: MorreyParams, radius, log_mass):
+    """morrey_quantity's exponent, vectorised, from log(mass).  In logs
+    |B(radius)| cannot underflow (at d = 2 and radius 1e-160 it keeps about
+    11 bits).  np.log and math.log can differ in the last bit."""
+    p, q, d = params.p, params.q, params.d
+    log_ball = math.log(params.sphere_area / d) + d * np.log(radius)
+    return (1.0 / q - 1.0 / p) * log_ball + log_mass / p
+
+
+def annulus_ends(profile: PiecewiseRadialPower) -> tuple:
+    """The arrays (lo, hi) of the profile's annulus ends."""
+    return (np.array([ann.r_lo for ann, _ in profile.segments]),
+            np.array([ann.r_hi for ann, _ in profile.segments]))
+
+
+def annulus_masses(params: MorreyParams, lo, hi) -> np.ndarray:
+    """shell_integral over each annulus (lo[k], hi[k]), one scalar call each."""
+    return np.array([shell_integral(params, a, b) for a, b in zip(lo.tolist(), hi.tolist())])
+
+
+def mass_prefix(masses, cp) -> np.ndarray:
+    """(K+1) x P whole-annulus prefix: row j sums masses[k] * cp[k] over the
+    first j annuli, where cp is the (K x P) matrix of |coeff|^p columns.
+    np.cumsum adds one annulus at a time from 0, as a running sum does."""
+    prefix = np.zeros((cp.shape[0] + 1, cp.shape[1]))
+    np.cumsum(masses[:, None] * cp, axis=0, out=prefix[1:])
+    return prefix
+
+
 def annulus_p_integral(params: MorreyParams, ann: Annulus) -> float:
     """int over the annulus of |x|^(-d p/q) dx."""
     if not ann.bounded:
@@ -106,7 +138,30 @@ def chunk_lower_bound(params: MorreyParams, epsilon: float) -> float:
 
 
 def centered_norm(profile: PiecewiseRadialPower) -> NormReport:
-    """Supremum of the centered-ball quantity Q(r) over all radii.
+    """Supremum of the centered-ball quantity Q(r) over all radii: the pure
+    power's closed form, else centered_sups on the profile alone."""
+    if profile.is_pure_power:
+        return NormReport(value=power_norm_exact(profile.params), argmax_ball=Ball(0.0, 1.0),
+                          method=NormMethod.CLOSED_FORM, abs_uncertainty=0.0)
+    p = profile.params.p
+    cp = np.array([[abs(coeff) ** p] for _, coeff in profile.segments])
+    return centered_sups(profile.params, *annulus_ends(profile), cp)[0]
+
+
+#: Columns per block of centered_sups: at K = 2048 a block's (boundaries x
+#: columns) arrays take about 4 MB each.
+_COLUMN_BLOCK = 256
+
+#: Log-domain slack of centered_sups' ranking.  It is far above the few ulps
+#: by which log_morrey_quantity and morrey_quantity's exponent can differ, so
+#: every boundary at a column's largest value is scored, and the first wins.
+_RANK_SLACK = 1e-9
+
+
+def centered_sups(params: MorreyParams, lo, hi, cp) -> list:
+    """One centered-supremum NormReport per column of the (K x P) matrix cp
+    of |coeff|^p (Python powers, to keep values bit for bit), for bounded
+    profiles on the sorted, disjoint shared annuli (lo[k], hi[k]).
 
     Between two consecutive annulus boundaries the centered mass is
     M(r) = A + B r^alpha with B >= 0 (A of either sign), and
@@ -117,40 +172,29 @@ def centered_norm(profile: PiecewiseRadialPower) -> NormReport:
     whose sign does not change on the bracket.  So Q is monotone between
     boundaries (constant below the smallest positive one, decreasing beyond
     the support), and its supremum is its largest value at a positive
-    boundary.  Those are evaluated in order and the first strict maximum is
-    kept; abs_uncertainty allows 4e-12 relative for rounding.  At a
-    boundary every annulus that starts below it also ends at or below it,
-    so the centered mass there is a running sum of whole-annulus masses in
-    annulus order, and one pass over the segments gives every boundary.
+    boundary, the first one on ties; abs_uncertainty allows 4e-12 relative
+    for rounding.  At a boundary every annulus that starts below it also
+    ends at or below it, so the centered mass there is a row of mass_prefix.
+    log_morrey_quantity ranks the boundaries, and those within _RANK_SLACK
+    of a column's best are scored by morrey_quantity, which gives the value.
     """
-    if profile.is_pure_power:
-        value = power_norm_exact(profile.params)
-        return NormReport(
-            value=value,
-            argmax_ball=Ball(0.0, 1.0),
-            method=NormMethod.CLOSED_FORM,
-            abs_uncertainty=0.0,
-        )
-
-    params = profile.params
-    value, radius = -1.0, None
-    mass = 0.0
-    segments = iter(profile.segments)
-    pending = next(segments, None)
-    bounds = profile.boundaries
-    for r in bounds[bounds > 0.0]:
-        r = float(r)
-        while pending is not None and pending[0].r_lo < r:
-            ann, coeff = pending
-            if coeff != 0.0:
-                mass += abs(coeff) ** params.p * shell_integral(params, ann.r_lo, ann.r_hi)
-            pending = next(segments, None)
-        here = morrey_quantity(params, r, mass) if mass > 0.0 else 0.0
-        if here > value:
-            value, radius = here, r
-    return NormReport(
-        value=value,
-        argmax_ball=Ball(0.0, radius),
-        method=NormMethod.CENTERED_SEARCH,
-        abs_uncertainty=4.0 * value * 1e-12,
-    )
+    radii = sorted({r for r in lo.tolist() + hi.tolist() if r > 0.0})
+    bounds = np.array(radii)
+    below = np.searchsorted(lo, bounds)  # the annuli that start below each boundary
+    masses = annulus_masses(params, lo, hi)
+    reports = []
+    for start in range(0, cp.shape[1], _COLUMN_BLOCK):
+        mass = mass_prefix(masses, cp[:, start:start + _COLUMN_BLOCK])[below]
+        with np.errstate(divide="ignore"):
+            rank = log_morrey_quantity(params, bounds[:, None], np.log(mass))
+        columns, rows = np.nonzero((rank >= rank.max(axis=0) - _RANK_SLACK).T)
+        best = [(0.0, radii[0])] * mass.shape[1]
+        for j, b, m in zip(columns.tolist(), rows.tolist(), mass[rows, columns].tolist()):
+            here = morrey_quantity(params, radii[b], m) if m > 0.0 else 0.0
+            if here > best[j][0]:
+                best[j] = (here, radii[b])
+        reports += [NormReport(value=value, argmax_ball=Ball(0.0, radius),
+                               method=NormMethod.CENTERED_SEARCH,
+                               abs_uncertainty=4.0 * value * 1e-12)
+                    for value, radius in best]
+    return reports

@@ -10,8 +10,9 @@ pure-power norm, which beats the n(1-delta) threshold whenever eps is small
 enough.
 
 Every combination norm, and the norm of the base function in the NJ ratio,
-is the profile's closed-form centered supremum (closedform.centered_norm),
-O(K) each; no ball search runs on this path.
+is the profile's closed-form centered supremum: one closedform.centered_sups
+call scores all 2^(n-1) combinations from one prefix matrix, and no ball
+search runs on this path.
 """
 
 import math
@@ -118,11 +119,6 @@ class JNJCheckReport:
     worst_index: int
 
 
-def _epsilon_boundaries(epsilon: float, num_annuli: int) -> np.ndarray:
-    log_eps = math.log(epsilon)
-    return np.exp(np.arange(num_annuli + 1) * log_eps)
-
-
 def build_witnesses(params: MorreyParams, n: int, delta: float,
                     epsilon: float | None = None) -> WitnessFamily:
     """Construct the n normalized witness functions for a given delta.
@@ -143,7 +139,7 @@ def build_witnesses(params: MorreyParams, n: int, delta: float,
             f"epsilon must lie strictly inside (0, {bound}), got {epsilon}"
         )
     num_annuli = matrix.num_patterns
-    radii = _epsilon_boundaries(epsilon, num_annuli)
+    radii = np.exp(np.arange(num_annuli + 1) * math.log(epsilon))
     if not radii[num_annuli] >= sys.float_info.min:
         raise NumericalFailure(
             f"n={n} needs K={num_annuli} annuli and the innermost radius "
@@ -151,6 +147,11 @@ def build_witnesses(params: MorreyParams, n: int, delta: float,
             "double; use a larger epsilon or a smaller n"
         )
     warn_if_underflow(params, epsilon, num_annuli)
+    if closedform.shell_integral(params, radii[num_annuli], radii[num_annuli - 1]) == 0.0:
+        raise NumericalFailure(
+            f"n={n} needs K={num_annuli} annuli and the innermost one's mass, at epsilon = "
+            f"{epsilon!r} and alpha = {params.alpha!r}, underflows to 0; use a larger epsilon "
+            "or a smaller n")
 
     shared = closedform.centered_norm(
         PiecewiseRadialPower.power_restriction(params, radii[num_annuli], 1.0)
@@ -182,52 +183,35 @@ def combination_coefficients(matrix: SignMatrix) -> np.ndarray:
     return m.T @ m
 
 
-def _combination_profiles(family: WitnessFamily):
-    matrix = sign_matrix(family.n)
-    coeffs = combination_coefficients(matrix)
-    # Segments are stored inward-first and column 0 is the innermost annulus,
-    # so segment index and column index coincide.
-    annuli = [ann for ann, _ in family.functions[0].segments]
-    profiles = []
-    for j in range(matrix.num_patterns):
-        segments = tuple(
-            (ann, float(coeffs[j, idx]) / family.shared_norm)
-            for idx, ann in enumerate(annuli)
-        )
-        pattern = tuple(int(s) for s in matrix.entries[1:, j])
-        profiles.append((pattern, PiecewiseRadialPower(family.params, segments)))
-    return profiles
-
-
 def min_signed_norm(family: WitnessFamily) -> SignedCombinationReport:
     """Norms of all 2^(n-1) signed combinations and their minimum.
 
-    Each norm is the combination's closed-form centered supremum
-    (closedform.centered_norm), a lower bound for its Morrey norm, which is
-    what the verdict needs.  Combinations can mix signs, so their moduli
+    Each norm is the combination's closed-form centered supremum, all from
+    one closedform.centered_sups call: a lower bound for its Morrey norm,
+    which is what the verdict needs.  The moduli of mixed-sign combinations
     need not be radially monotone, yet the off-center search finds no ball
-    above these values: test_witness_patterns_equal_their_centered_sup in
-    tests/test_numeric.py audits them against morrey_norms_shared to 1e-12.
+    above these values (test_witness_patterns_equal_their_centered_sup).
     """
-    jobs = _combination_profiles(family)
-    reports = tuple(closedform.centered_norm(profile) for _, profile in jobs)
+    matrix = sign_matrix(family.n)
+    # Column k of the coefficients and segment k of every function are
+    # annulus k, innermost first.  A coefficient is +-m / shared_norm with
+    # m <= n, so n + 1 Python powers give every |coeff|^p.
+    levels = np.array([(m / family.shared_norm) ** family.params.p
+                       for m in range(family.n + 1)])
+    cp = levels[np.abs(combination_coefficients(matrix))].T
+    reports = closedform.centered_sups(
+        family.params, *closedform.annulus_ends(family.functions[0]), cp)
+    patterns = tuple(map(tuple, matrix.entries[1:].T.tolist()))
     values = [r.value for r in reports]
     argmin = int(np.argmin(values))
-    return SignedCombinationReport(
-        patterns=tuple(pattern for pattern, _ in jobs),
-        reports=reports,
-        min_over_patterns=values[argmin],
-        pattern=jobs[argmin][0],
-    )
+    return SignedCombinationReport(patterns=patterns, reports=tuple(reports),
+                                   min_over_patterns=values[argmin], pattern=patterns[argmin])
 
 
 def theoretical_lower_bound(family: WitnessFamily) -> float:
     """n (1 - eps^alpha)^(1/p) ||power|| / shared_norm, valid for every pattern."""
-    return (
-        family.n
-        * closedform.chunk_lower_bound(family.params, family.epsilon)
-        / family.shared_norm
-    )
+    chunk = closedform.chunk_lower_bound(family.params, family.epsilon)
+    return family.n * chunk / family.shared_norm
 
 
 _ENVELOPE_SLACK = 1e-8
@@ -241,12 +225,10 @@ def _check_envelope(family: WitnessFamily, report: SignedCombinationReport) -> N
         where = f"pattern {pattern}, ball {r.argmax_ball}"
         if r.value < lower * (1.0 - _ENVELOPE_SLACK):
             raise NumericalFailure(
-                f"combination norm {r.value} at {where} fell below the analytic bound {lower}"
-            )
+                f"combination norm {r.value} at {where} fell below the analytic bound {lower}")
         if r.value > upper * (1.0 + _ENVELOPE_SLACK):
             raise NumericalFailure(
-                f"combination norm {r.value} at {where} exceeds the cap {upper}"
-            )
+                f"combination norm {r.value} at {where} exceeds the cap {upper}")
 
 
 def verify_non_ell1n(params: MorreyParams, n: int, delta: float,

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import centered_norm, morrey_quantity, shell_integral
+from .closedform import (annulus_ends, annulus_masses, centered_norm, log_morrey_quantity,
+                         mass_prefix, morrey_quantity, shell_integral)
 from .core import (
     Ball,
     NormMethod,
@@ -38,7 +39,8 @@ from .core import (
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """The seed of oracle-compare's random profiles; the search has no settings."""
+    """No longer read: the search has no settings and oracle-compare's seed
+    defaults to 0.  Kept only because perfbench/ passes it."""
 
     rng_seed: int = 0
 
@@ -103,13 +105,6 @@ def _log_pow(x, a_exp):
     return np.where(x > 0.0, out, 0.0)
 
 
-def _segment_arrays(profile: PiecewiseRadialPower):
-    lo = np.array([ann.r_lo for ann, _ in profile.segments])
-    hi = np.array([ann.r_hi for ann, _ in profile.segments])
-    cp = np.abs(profile.coefficients) ** profile.params.p
-    return lo, hi, cp
-
-
 #: ball_p_integral's cap rule: Q (and 2Q) Gauss-Legendre nodes, the bound on |I_2Q - I_Q|
 #: per panel relative to the window mass so far, and the most bisections and panels.
 _CAP_NODES, _CAP_RTOL, _CAP_SPLITS, _CAP_PANELS = 16, 1e-14, 60, 4096
@@ -140,7 +135,8 @@ def ball_p_integral(profile: PiecewiseRadialPower, ball: Ball) -> float:
     """
     params, d = profile.params, profile.params.d
     a, big_r = ball.center_dist, ball.radius
-    lo, hi, cp = _segment_arrays(profile)
+    lo, hi = annulus_ends(profile)
+    cp = np.abs(profile.coefficients) ** params.p
     full_hi = max(big_r - a, 0.0)
     cap_lo, cap_hi = abs(big_r - a), a + big_r
     total = 0.0
@@ -344,8 +340,8 @@ class _BatchObjective:
     coefficients, held as the (K x P) matrix of |coeff|^p columns.  A ball
     B(a, R) splits the radial axis at its window (|R - a|, R + a): below it
     every sphere lies wholly inside the ball (for R > a), above it none
-    does.  The full-sphere mass below max(R - a, 0) is a row of the
-    precomputed (K+1) x P prefix sums of whole-annulus masses plus one
+    does.  The full-sphere mass below max(R - a, 0) is a row of
+    closedform.mass_prefix, as in closedform.centered_sups, plus one
     partial annulus.  Inside the window only the annuli that meet it carry
     mass, a contiguous index range because the annuli are sorted; those
     (ball, annulus) pairs are listed ball by ball, each pair's piece of the
@@ -355,35 +351,31 @@ class _BatchObjective:
     plus its active pairs, and only the cap-angle factor of d >= 4 needs
     scipy (sin_power_integral).  For d = 1 the folded interval (a - R, a + R)
     is twice the full part plus the window, whose cap factor is exactly 1.
-    Calls are scored in blocks of _BALL_BLOCK balls and cap pieces in blocks
-    of _PANEL_BLOCK points, and every sum runs in a fixed order, so a ball's
-    value does not depend on the call or block it comes in.  Accuracy only
-    has to find the right ball (_PIECE_NODES): the search re-scores each
-    winner with the adaptive integral.
+    The value is exp(closedform.log_morrey_quantity).  Calls are scored in
+    blocks of _BALL_BLOCK balls and cap pieces in blocks of _PANEL_BLOCK
+    points, and every sum runs in a fixed order, so a ball's value does not
+    depend on the call or block it comes in.  Accuracy only has to find the
+    right ball (_PIECE_NODES): the search re-scores each winner with the
+    adaptive integral.
     """
 
     def __init__(self, profiles):
         params = profiles[0].params
-        self.d = params.d
-        self.p, self.q = params.p, params.q
-        self.alpha = params.alpha
+        self.params, self.d, self.alpha = params, params.d, params.alpha
         annuli = [ann for ann, _ in profiles[0].segments]
         if any(profile.params != params or [ann for ann, _ in profile.segments] != annuli
                for profile in profiles):
             raise ParameterError("batched profiles must share params and annuli")
-        self.lo, self.hi, _ = _segment_arrays(profiles[0])
+        self.lo, self.hi = annulus_ends(profiles[0])
         self.cp = np.ascontiguousarray(
             np.abs(np.array([pr.coefficients for pr in profiles]).T) ** params.p)
-        self.vol_coeff = params.sphere_area / self.d
         fine = self.alpha < 0.5 or self.d >= 4
         self.nodes, self.weights = _gauss_legendre(_FINE_PIECE_NODES if fine else _PIECE_NODES)
-        u_lo = _log_pow(self.lo, self.alpha)
-        whole = ((_log_pow(self.hi, self.alpha) - u_lo) / self.alpha)[:, None] * self.cp
-        self.prefix = np.cumsum(np.vstack([np.zeros_like(self.cp[:1]), whole]), axis=0)
+        self.prefix = mass_prefix(annulus_masses(params, self.lo, self.hi), self.cp)
         # One sentinel annulus past the last, empty, for balls that hold all.
-        self.u_lo_ext = np.append(u_lo, np.inf)
+        self.u_lo_ext = np.append(_log_pow(self.lo, self.alpha), np.inf)
         self.cp_ext = np.vstack([self.cp, np.zeros_like(self.cp[:1])])
-        self.full_factor = 2.0 if self.d == 1 else sphere_area(self.d)
+        self.partial_factor = params.sphere_area / self.alpha
 
     def __call__(self, center, radius):
         """(balls x P) array of Morrey quantities, 0 where a ball has no mass."""
@@ -397,30 +389,20 @@ class _BatchObjective:
 
     def _values(self, a, big_r):
         """__call__ on one block of balls."""
-        value = self._full_mass(np.maximum(big_r - a, 0.0))
-        value *= self.full_factor
-        value += self._window_mass(a, big_r)
+        mass = self._full_mass(np.maximum(big_r - a, 0.0))
+        mass += self._window_mass(a, big_r)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_ball = self._log_ball(big_r)
-            np.log(value, out=value)
-            value /= self.p
-            value += ((1.0 / self.q - 1.0 / self.p) * log_ball)[:, None]
-            np.exp(value, out=value)
+            value = np.exp(log_morrey_quantity(self.params, big_r[:, None], np.log(mass)))
         value[~np.isfinite(value)] = 0.0
         return value
 
-    def _log_ball(self, big_r):
-        """log |B_R|.  |B_R| itself can be subnormal: at d = 2 and
-        R = 1e-160 it keeps about 11 bits."""
-        return np.log(self.vol_coeff) + self.d * np.log(big_r)
-
     def _full_mass(self, t):
-        """(balls x P) power integrals over (0, t): the prefix row of the
-        annuli wholly below t plus the part of the next annulus below t."""
+        """(balls x P) masses of the centered balls of radius t: the prefix
+        row of the annuli wholly below t plus the part of the next one."""
         j = np.searchsorted(self.hi, t, side="right")
         partial = np.clip(_log_pow(t, self.alpha) - self.u_lo_ext[j], 0.0, None)
         out = self.cp_ext[j]
-        out *= (partial / self.alpha)[:, None]
+        out *= (partial * self.partial_factor)[:, None]
         out += self.prefix[j]
         return out
 
@@ -508,14 +490,8 @@ def _search_balls(profile: PiecewiseRadialPower):
 
 def morrey_norm_numeric(profile: PiecewiseRadialPower,
                         cfg: SearchConfig = DEFAULT_SEARCH) -> NormReport:
-    """Supremum search over center distance and radius.
-
-    This is morrey_norms_shared on the single profile: the balls of
-    _search_balls, a compass refinement of the best of them, and an
-    adaptive re-score of the winner.  abs_uncertainty is max(|batched value
-    - rescored value|, 1e-9 * value).  The pure power gets its closed form.
-    The search reads nothing from cfg.
-    """
+    """Supremum search over center distance and radius: morrey_norms_shared
+    on the single profile."""
     return morrey_norms_shared([profile], cfg)[0]
 
 
@@ -525,13 +501,11 @@ def morrey_norms_shared(profiles, cfg: SearchConfig = DEFAULT_SEARCH) -> list:
     profile, in order.  The search reads nothing from cfg.
 
     The balls are scored for all profiles at once (see _BatchObjective), in
-    blocks of _BALL_BLOCK, and each profile keeps its first best ball.  They
-    hold the centered ball at every boundary, where the centered supremum
-    sits, so no separate centered sweep is needed, and the window-corner
-    balls.  _refine improves each profile's best ball in batched rounds; the
-    best ball and the refined ball are re-scored with the adaptive
-    integral, and the larger value wins.  abs_uncertainty is
-    max(|batched value - rescored value|, 1e-9 * value).
+    blocks of _BALL_BLOCK, and each profile keeps its first best ball.
+    _refine improves each profile's best ball in batched rounds; the best
+    ball and the refined ball are re-scored with the adaptive integral, and
+    the larger value wins.  abs_uncertainty is max(|batched value -
+    rescored value|, 1e-9 * value).
 
     The radii stop at 4 times the support radius, and no larger ball can
     win: a ball of radius R at least the support radius holds at most the

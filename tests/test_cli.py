@@ -127,6 +127,21 @@ class TestWitness:
         assert out == ""
         assert "numerical failure" in err and "n=9" in err and "K=256" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_underflowing_mass_exit_3(self, capsys):
+        # a normal innermost radius whose annulus' mass underflows to 0
+        code, out, err = run(capsys, "witness", "--d", "3", "--q", "3.5",
+                             "--n", "8", "--delta", "0.01")
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err and "underflows" in err and "K=128" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_subnormal_masses_still_pass(self, capsys):
+        code, out, _ = run(capsys, "witness", "--d", "3", "--n", "8", "--delta", "0.01")
+        assert code == 0
+        assert parse_kv(out)["verdict"] == "PASS"
+
     def test_epsilon_out_of_range(self, capsys):
         code, _, err = run(capsys, "witness", "--delta", "0.1", "--epsilon", "0.5")
         assert code == 2

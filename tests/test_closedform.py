@@ -20,7 +20,8 @@ from morreykit import (
     power_norm_exact,
     sphere_area,
 )
-from morreykit.closedform import morrey_quantity, shell_integral
+from morreykit.closedform import (annulus_ends, centered_sups, morrey_quantity,
+                                  shell_integral)
 from morreykit.sampling import random_bounded_profile, random_params
 
 
@@ -336,3 +337,23 @@ class TestCenteredBoundaryMaximum:
         assert report.value == best
         assert report.argmax_ball.center_dist == 0.0
         assert report.argmax_ball.radius == next(r for v, r in values if v == best)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shared_annuli_in_blocks(self, seed):
+        # More columns than one block of centered_sups: each column is the
+        # boundary maximum of its own profile, value and radius.
+        rng = np.random.default_rng(100 + seed)
+        base = gapped_profile(rng)
+        params, annuli = base.params, [ann for ann, _ in base.segments]
+        coeffs = rng.normal(size=(600, len(annuli)))
+        coeffs[rng.random(coeffs.shape) < 0.2] = 0.0
+        cp = np.array([[abs(c) ** params.p for c in row] for row in coeffs.tolist()]).T
+        reports = centered_sups(params, *annulus_ends(base), cp)
+        assert len(reports) == 600
+        for row, report in zip(coeffs.tolist(), reports):
+            profile = PiecewiseRadialPower(params, tuple(zip(annuli, row)))
+            values = [(_centered_value(profile, float(b)), float(b))
+                      for b in profile.boundaries if b > 0.0]
+            best = max(v for v, _ in values)
+            assert report.value == best
+            assert report.argmax_ball.radius == next(r for v, r in values if v == best)

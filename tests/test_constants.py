@@ -25,12 +25,9 @@ from morreykit import (
     verify_non_ell1n,
 )
 from morreykit import cli, numeric
-from morreykit.constants import (
-    _check_envelope,
-    _combination_profiles,
-    estimate_constants,
-)
+from morreykit.constants import _check_envelope, estimate_constants
 from morreykit.sampling import random_euclidean_tuple, random_lp_tuple
+from witness_reference import _combination_profiles, _running_centered_sup
 
 P121 = MorreyParams(1.0, 2.0, 1)
 P122 = MorreyParams(1.0, 2.0, 2)
@@ -97,10 +94,11 @@ class TestBuildWitnesses:
         )
 
     def test_underflow_warning(self):
-        # alpha = 2 and 1024 annuli: eps^(alpha K) underflows while the
-        # boundaries themselves stay positive
+        # alpha = 2 and 1024 annuli: eps^(alpha K) is subnormal, about
+        # 1e-311, while the boundaries stay normal and the innermost mass
+        # stays positive (test_innermost_mass_underflow_raises has it at 0)
         with pytest.warns(RuntimeWarning):
-            build_witnesses(MorreyParams(1.0, 3.0, 3), 11, 0.5, epsilon=0.677)
+            build_witnesses(MorreyParams(1.0, 3.0, 3), 11, 0.5, epsilon=0.705)
 
     @pytest.mark.parametrize("d,n,delta", [(2, 5, 0.005), (1, 8, 0.1), (2, 8, 0.1)])
     def test_no_warning_above_the_limits(self, d, n, delta):
@@ -113,6 +111,14 @@ class TestBuildWitnesses:
         # eps^(alpha K) is still above the warning threshold
         with pytest.raises(NumericalFailure, match=r"n=9.*K=256.*0\.005"):
             build_witnesses(P121, 9, 0.1)
+
+    def test_innermost_mass_underflow_raises(self):
+        # d = 3, q = 3.5: eps^K = 2.6e-158 is a normal double, but with
+        # alpha = 15/7 the innermost annulus' mass underflows to 0
+        params = MorreyParams(1.0, 3.5, 3)
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                NumericalFailure, match=r"n=8.*K=128.*alpha = 2\.14.*underflows"):
+            build_witnesses(params, 8, 0.01)
 
 
 class TestCombinationCoefficients:
@@ -169,6 +175,42 @@ class TestMinSignedNorm:
         monkeypatch.setenv("MORREYKIT_THREADS", "3")
         threaded = min_signed_norm(family)
         assert serial.norm_values.tolist() == threaded.norm_values.tolist()
+
+
+def _reference_grid():
+    for n in range(2, 9):
+        for d in (1, 2, 3):
+            for p in (1.0, 1.5):
+                for q in (2.0, 3.5):
+                    for delta in (0.3, 0.1, 0.01):
+                        yield n, MorreyParams(p, q, d), delta
+
+
+class TestPatternsEqualPerProfileLoop:
+    """min_signed_norm scores all patterns from one prefix matrix; each
+    pattern's value and radius equal a running-sum loop over that pattern's
+    own profile exactly."""
+
+    def test_grid(self):
+        checked = 0
+        for n, params, delta in _reference_grid():
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    family = build_witnesses(params, n, delta)
+            except NumericalFailure:
+                continue  # an innermost radius or mass that underflows
+            report = min_signed_norm(family)
+            for (pattern, profile), got, have in zip(
+                    _combination_profiles(family), report.reports, report.patterns):
+                assert have == pattern
+                value, radius = _running_centered_sup(profile)
+                assert got.value == value, (n, params, delta, pattern)
+                assert got.argmax_ball.radius == radius, (n, params, delta, pattern)
+                assert got.argmax_ball.center_dist == 0.0
+            checked += len(report.reports)
+        # 9,180 patterns less the 9 families that build_witnesses refuses
+        assert checked == 8056
 
 
 class TestSharedSearch:

@@ -27,11 +27,12 @@ from morreykit import (
     sin_power_integral,
     sphere_area,
 )
-from morreykit.constants import _combination_profiles, build_witnesses
+from morreykit.constants import build_witnesses
 from morreykit import numeric
-from morreykit.closedform import morrey_quantity
+from morreykit.closedform import annulus_ends, log_morrey_quantity, morrey_quantity
 from morreykit.numeric import _BALL_BLOCK, _BatchObjective
 from morreykit.sampling import random_bounded_profile, random_params
+from witness_reference import _combination_profiles
 
 #: The most that a batched value may be off the adaptive integral; a bound
 #: on the cap rule's error (numeric._PIECE_NODES), not a search setting.
@@ -871,7 +872,7 @@ class TestMassBound:
         all the mass of the shell (a - R, a + R), or of the ball of radius
         R + a about the origin when R >= a, which holds it.  The powers are
         taken in units of R + a, so deep annuli do not underflow."""
-        lo, hi, _ = numeric._segment_arrays(profile)
+        lo, hi = annulus_ends(profile)
         outer = big_r + a
         inner = np.where(big_r < a, a - big_r, 0.0) / outer
         lo_u, hi_u = lo[None, :] / outer[:, None], hi[None, :] / outer[:, None]
@@ -881,8 +882,7 @@ class TestMassBound:
         mass = sphere_area(objective.d) * (unit @ objective.cp)
         with np.errstate(divide="ignore"):
             log_mass = np.log(mass) + (alpha * np.log(outer))[:, None]
-        return np.exp(log_mass / objective.p + ((1.0 / objective.q - 1.0 / objective.p)
-                                                * objective._log_ball(big_r))[:, None])
+        return np.exp(log_morrey_quantity(objective.params, big_r[:, None], log_mass))
 
     @pytest.mark.parametrize("profiles", list(_bound_cases()))
     def test_bounds_every_grid_ball(self, profiles):
