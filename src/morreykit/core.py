@@ -1,6 +1,7 @@
 """Shared domain types: Morrey exponent triples, annular power profiles,
 balls, sign matrices, witness families."""
 
+import functools
 import math
 import os
 import warnings
@@ -55,6 +56,12 @@ def sphere_area(d: int) -> float:
         raise ParameterError(f"dimension must be an integer, got {d!r}")
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
+    return _sphere_area(d)
+
+
+@functools.cache
+def _sphere_area(d: int) -> float:
+    """sphere_area once per validated dimension."""
     return math.exp(math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d))
 
 

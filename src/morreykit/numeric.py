@@ -548,8 +548,9 @@ def morrey_norms_shared(profiles, cfg: SearchConfig = DEFAULT_SEARCH) -> list:
 
 #: Compass refinement: the first step as a share of the best search ball's
 #: radius, the factor a step shrinks by after a round without improvement,
-#: the relative step at which a profile stops, and a cap on the rounds.
-_STEP_START, _STEP_SHRINK, _STEP_STOP, _MAX_ROUNDS = 0.1, 0.25, 1e-12, 200
+#: the rounds (one step each, shrinking) scored per objective call, the
+#: relative step at which a profile stops, and a cap on each profile's rounds.
+_STEP_START, _STEP_SHRINK, _LADDER, _STEP_STOP, _MAX_ROUNDS = 0.1, 0.25, 4, 1e-12, 200
 _MOVES = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
 
 
@@ -561,28 +562,45 @@ def _refine(objective, a0, r0, v0):
     they are axis-parallel in (x1, x2), so moving one end at a time walks
     along them into the corners where both ends sit on boundaries, also
     those of boundaries further apart than _CORNER_SPAN, and up the ridges
-    of d >= 2, where a supremum can lie inside a cell.  One objective call per round scores the four moves of every profile
-    still refining.  Returns the refined centers, radii and batched values.
+    of d >= 2, where a supremum can lie inside a cell.
+
+    A round takes the best of the four moves if it improves, and else
+    shrinks the step.  A failed round moves nothing, so one objective call
+    scores the next _LADDER rounds of every profile still refining, at the
+    step and its next shrinks: each profile takes its first improving
+    round, or all the shrinks.  A round counts while the step is above
+    _STEP_STOP times the radius and the profile has rounds left.  Returns
+    the refined centers, radii and batched values.
     """
     x1, x2, best = a0 - r0, a0 + r0, v0.copy()
     step = _STEP_START * r0
+    rounds = np.zeros(best.size, dtype=int)
     active = best > 0.0
-    for _ in range(_MAX_ROUNDS):
+    level = np.arange(_LADDER)[:, None]
+    while active.any():
         cols = np.flatnonzero(active)
-        if cols.size == 0:
-            break
-        t1 = x1[cols] + _MOVES[:, :1] * step[cols]
-        t2 = x2[cols] + _MOVES[:, 1:] * step[cols]
         i = np.arange(cols.size)
+        steps = [step[cols]]
+        for _ in range(_LADDER):
+            steps.append(steps[-1] * _STEP_SHRINK)
+        steps = np.array(steps)
+        t1 = x1[cols] + _MOVES[:, :1] * steps[:-1, None]
+        t2 = x2[cols] + _MOVES[:, 1:] * steps[:-1, None]
         vals = objective(0.5 * np.abs(t1 + t2).ravel(), 0.5 * (t2 - t1).ravel())
-        vals = vals.reshape(len(_MOVES), cols.size, -1)[:, i, cols]
-        k = np.argmax(vals, axis=0)
-        gain = vals[k, i] > best[cols]
-        up, k_up, i_up = cols[gain], k[gain], i[gain]
-        x1[up], x2[up], best[up] = t1[k_up, i_up], t2[k_up, i_up], vals[k_up, i_up]
-        still = cols[~gain]
-        step[still] *= _STEP_SHRINK
-        active[still] = step[still] > _STEP_STOP * 0.5 * (x2[still] - x1[still])
+        vals = vals.reshape(_LADDER, len(_MOVES), cols.size, -1)[:, :, i, cols]
+        k = np.argmax(vals, axis=1)
+        top = np.take_along_axis(vals, k[:, None], axis=1)[:, 0]
+        floor = _STEP_STOP * 0.5 * (x2[cols] - x1[cols])
+        live = (rounds[cols] + level < _MAX_ROUNDS) & ((level == 0) | (steps[:-1] > floor))
+        gain = live & (top > best[cols])
+        hit = gain.any(axis=0)
+        used = np.where(hit, np.argmax(gain, axis=0), live.sum(axis=0))
+        l_up, i_up = used[hit], i[hit]
+        move, up = (l_up, k[l_up, i_up], i_up), cols[hit]
+        x1[up], x2[up], best[up] = t1[move], t2[move], vals[move]
+        step[cols] = steps[used, i]
+        rounds[cols] += used + hit
+        active[cols] = (hit | (step[cols] > floor)) & (rounds[cols] < _MAX_ROUNDS)
     return 0.5 * np.abs(x1 + x2), 0.5 * (x2 - x1), best
 
 

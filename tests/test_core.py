@@ -32,6 +32,18 @@ def test_sphere_area_rejects_bad_dimension(bad):
         sphere_area(bad)
 
 
+def test_sphere_area_cache_keeps_validation():
+    # True == 1 and 2.0 == 2 as cache keys: the cached values must not
+    # answer for them.
+    sphere_area(1), sphere_area(2)
+    for bad in (True, 2.0):
+        with pytest.raises(ParameterError):
+            sphere_area(bad)
+    d = 5
+    assert sphere_area(d) == math.exp(
+        math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d))
+
+
 valid_params = st.builds(
     MorreyParams,
     p=st.floats(min_value=1.0, max_value=5.0),

@@ -957,6 +957,131 @@ def test_compass_climbs_to_a_thin_shell_supremum(d, radius):
     assert morrey_norm_numeric(profile).value >= inside * (1 - 1e-12)
 
 
+# --- the step-ladder compass against the one-round compass -------------------
+
+
+def _one_round_refine(objective, a0, r0, v0):
+    """The compass with one round per objective call: the four moves at one
+    step, the best of them taken if it improves, else the step shrunk.
+    numeric._refine scores several rounds per call and must match it
+    exactly."""
+    x1, x2, best = a0 - r0, a0 + r0, v0.copy()
+    step = numeric._STEP_START * r0
+    active = best > 0.0
+    moves = numeric._MOVES
+    for _ in range(numeric._MAX_ROUNDS):
+        cols = np.flatnonzero(active)
+        if cols.size == 0:
+            break
+        t1 = x1[cols] + moves[:, :1] * step[cols]
+        t2 = x2[cols] + moves[:, 1:] * step[cols]
+        i = np.arange(cols.size)
+        vals = objective(0.5 * np.abs(t1 + t2).ravel(), 0.5 * (t2 - t1).ravel())
+        vals = vals.reshape(len(moves), cols.size, -1)[:, i, cols]
+        k = np.argmax(vals, axis=0)
+        gain = vals[k, i] > best[cols]
+        up, k_up, i_up = cols[gain], k[gain], i[gain]
+        x1[up], x2[up], best[up] = t1[k_up, i_up], t2[k_up, i_up], vals[k_up, i_up]
+        still = cols[~gain]
+        step[still] *= numeric._STEP_SHRINK
+        active[still] = step[still] > numeric._STEP_STOP * 0.5 * (x2[still] - x1[still])
+    return 0.5 * np.abs(x1 + x2), 0.5 * (x2 - x1), best
+
+
+def _stratified_cases():
+    """One profile per (d, monotone, segment count) cell, d = 1..3 and 1..5
+    segments, as in the oracle-compare battery."""
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 3):
+        for monotone in (False, True):
+            for segments in range(1, 6):
+                drawn = random_params(rng)
+                params = MorreyParams(drawn.p, drawn.q, d)
+                profile = random_bounded_profile(params, rng, segments, monotone)
+                while len(profile.segments) != segments:
+                    profile = random_bounded_profile(params, rng, segments, monotone)
+                yield pytest.param([profile], id=f"d{d}-m{int(monotone)}-s{segments}")
+
+
+def _thin_shell_cases(count=24):
+    """Two shells of relative widths 1e-3 to 0.3 with a gap between, p = 1,
+    d = 1..3: the compass's case, where the best ball spans a shell."""
+    rng = np.random.default_rng(9)
+    for k in range(count):
+        params = MorreyParams(1.0, 1.3 + 4.7 * rng.random(), 1 + k % 3)
+        widths = np.exp(rng.uniform(math.log(1e-3), math.log(0.3), 2))
+        inner = rng.uniform(0.1, 1.0)
+        outer = inner * (1.0 + widths[0]) * rng.uniform(1.01, 3.0)
+        c_in, c_out = rng.normal(scale=1.5, size=2)
+        profile = PiecewiseRadialPower(params, (
+            (Annulus(inner, inner * (1.0 + widths[0])), float(c_in)),
+            (Annulus(outer, outer * (1.0 + widths[1])), float(c_out))))
+        yield pytest.param([profile], id=f"thin-{k}-d{params.d}")
+    for d in (2, 3):
+        yield pytest.param([PiecewiseRadialPower.power_restriction(
+            MorreyParams(1, 4, d), 1.0, 1.001)], id=f"shell-1e-3-d{d}")
+
+
+def _with_dead_column():
+    """Two profiles on shared annuli, one of them zero: its grid best is 0,
+    so its column never refines."""
+    params, annuli = MorreyParams(1.0, 2.0, 2), (Annulus(0.1, 0.6), Annulus(0.6, 1.1))
+    return [PiecewiseRadialPower(params, tuple(zip(annuli, coeffs)))
+            for coeffs in ((1.0, -2.0), (0.0, 0.0), (0.0, 3.0))]
+
+
+def _assert_ladder_matches_one_round(profiles, monkeypatch):
+    """numeric._refine returns _one_round_refine's arrays exactly, and the
+    reports of the search do not change with it."""
+    ladder, refined = numeric._refine, []
+
+    def spy(objective, a0, r0, v0):
+        got = ladder(objective, a0, r0, v0)
+        refined.append((got, _one_round_refine(objective, a0, r0, v0)))
+        return got
+
+    monkeypatch.setattr(numeric, "_refine", spy)
+    reports = morrey_norms_shared(profiles)
+    monkeypatch.setattr(numeric, "_refine", _one_round_refine)
+    expected = morrey_norms_shared(profiles)
+    monkeypatch.setattr(numeric, "_refine", ladder)
+    (got, want), = refined
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    assert [(r.value, r.argmax_ball, r.abs_uncertainty) for r in reports] \
+        == [(r.value, r.argmax_ball, r.abs_uncertainty) for r in expected]
+    return got
+
+
+@pytest.mark.parametrize("profiles", list(_bound_cases()) + list(_stratified_cases())
+                         + list(_thin_shell_cases()))
+def test_ladder_compass_matches_one_round_compass(profiles, monkeypatch):
+    _assert_ladder_matches_one_round(profiles, monkeypatch)
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("profiles", list(_thin_shell_cases(6))[:6]
+                         + list(_stratified_cases())[10:20]
+                         + [pytest.param(_with_dead_column(), id="dead-column")])
+def test_ladder_compass_keeps_the_round_budget(profiles, rounds, monkeypatch):
+    # A budget that ends inside a ladder: the rounds past it must not count.
+    monkeypatch.setattr(numeric, "_MAX_ROUNDS", rounds)
+    _assert_ladder_matches_one_round(profiles, monkeypatch)
+
+
+def test_ladder_compass_leaves_a_dead_column(monkeypatch):
+    *_, v = _assert_ladder_matches_one_round(_with_dead_column(), monkeypatch)
+    assert v[1] == 0.0 and v[0] > 0.0 and v[2] > 0.0
+    # Alone, the zero column scores no ball at all.
+    objective, scored = _BatchObjective(_with_dead_column()[1:2]), []
+
+    def counted(a, big_r):
+        scored.append(a.size)
+        return objective(a, big_r)
+
+    *_, v = numeric._refine(counted, np.array([0.3]), np.array([0.5]), np.array([0.0]))
+    assert scored == [] and v.tolist() == [0.0]
+
+
 def test_search_config_validation():
     for name in ("center_grid", "radius_grid", "quad_points"):
         with pytest.raises(TypeError):
