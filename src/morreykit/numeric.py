@@ -325,6 +325,12 @@ def monotone_profile_check(profile: PiecewiseRadialPower) -> bool:
 _BALL_BLOCK = 1024
 _PANEL_BLOCK = 7168
 
+#: Slack of the search's shell-bound pruning (_may_reach).  Batched values
+#: stay within 1e-12 of the bound, or 1e-5 of the best for d = 1 balls that
+#: lose R to rounding; the bound, a difference of centered masses, loses about
+#: 1e-16 a / (alpha R) of a ball near the floor: under 1e-4 for R >= 1e-12 a / alpha.
+_PRUNE_SLACK = 1e-4
+
 #: The nodes per cap piece of _BatchObjective, the fine count when alpha < 1/2
 #: or d >= 4.  Against the adaptive integral (p = 1, d = 2..5, R >= 1e-12 a,
 #: R = a(1 +- 10^-k) too) they are within 6e-4 down to alpha = 0.08, where
@@ -405,6 +411,17 @@ class _BatchObjective:
         out *= (partial * self.partial_factor)[:, None]
         out += self.prefix[j]
         return out
+
+    def _may_reach(self, a, big_r, floor):
+        """Whether each ball's shell bound, the Morrey quantity of all the mass
+        of (max(a - R, 0), R + a), is NaN or at least floor / (1 + _PRUNE_SLACK)
+        for some profile, or that mass is subnormal, where batched masses drift."""
+        ends = self._full_mass(np.concatenate([big_r + a, np.maximum(a - big_r, 0.0)]))
+        mass = ends[:a.size] - ends[a.size:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = log_morrey_quantity(self.params, big_r[:, None], np.log(mass))
+            short = bound < np.log(floor / (1.0 + _PRUNE_SLACK))
+        return np.any(~short | ((mass > 0.0) & (mass < np.finfo(float).tiny)), axis=1)
 
     def _window_mass(self, a, big_r):
         """(balls x P) masses inside each ball's window (|R - a|, R + a):
@@ -501,7 +518,9 @@ def morrey_norms_shared(profiles, cfg: SearchConfig = DEFAULT_SEARCH) -> list:
     profile, in order.  The search reads nothing from cfg.
 
     The balls are scored for all profiles at once (see _BatchObjective), in
-    blocks of _BALL_BLOCK, and each profile keeps its first best ball.
+    blocks of _BALL_BLOCK, and each profile keeps its first best ball.  The
+    grid's first row, the centered balls, sets each profile's floor; another
+    ball is scored only where its shell bound may reach one (_may_reach).
     _refine improves each profile's best ball in batched rounds; the best
     ball and the refined ball are re-scored with the adaptive integral, and
     the larger value wins.  abs_uncertainty is max(|batched value -
@@ -526,13 +545,19 @@ def morrey_norms_shared(profiles, cfg: SearchConfig = DEFAULT_SEARCH) -> list:
     objective = _BatchObjective(profiles)
     aa, rr = _search_balls(profiles[0])
     columns = np.arange(len(profiles))
-    best = np.zeros(len(profiles), dtype=int)
-    best_v = np.full(len(profiles), -np.inf)
-    for start in range(0, aa.size, _BALL_BLOCK):
-        vals = objective(aa[start:start + _BALL_BLOCK], rr[start:start + _BALL_BLOCK])
+    row = int(np.argmax(aa > 0.0))  # the grid's first row: the centered balls
+    vals = objective(aa[:row], rr[:row])
+    best = np.argmax(vals, axis=0)
+    best_v = vals[best, columns]
+    chunks = [slice(start, start + _BALL_BLOCK) for start in range(row, aa.size, _BALL_BLOCK)]
+    kept = np.concatenate([chunk.start + np.flatnonzero(
+        objective._may_reach(aa[chunk], rr[chunk], best_v)) for chunk in chunks])
+    for start in range(0, kept.size, _BALL_BLOCK):
+        index = kept[start:start + _BALL_BLOCK]
+        vals = objective(aa[index], rr[index])
         idx = np.argmax(vals, axis=0)
         better = vals[idx, columns] > best_v
-        best = np.where(better, start + idx, best)
+        best = np.where(better, index[idx], best)
         best_v = np.where(better, vals[idx, columns], best_v)
     best_a, best_r = aa[best], rr[best]
 

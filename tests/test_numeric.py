@@ -861,10 +861,40 @@ def _bound_cases():
             yield pytest.param(profiles + [family.functions[0]], id=f"witness-d{d}-n{n}")
 
 
+def _two_shell_cases(count=36):
+    """Two thin shells of relative widths 1e-3 to 0.3, the second from 1.001
+    to 4 times as far out as the first ends, d = 1..3 and 1 <= p < q.  The
+    pruning bounds an off-center ball that holds the origin by one centered
+    mass and a ball beside the origin by a shell's, and it keeps and drops
+    balls of both kinds here."""
+    rng = np.random.default_rng(41)
+    for k in range(count):
+        p = 1.0 + rng.random()
+        params = MorreyParams(p, p * (1.2 + 4.0 * rng.random()), 1 + k % 3)
+        widths = np.exp(rng.uniform(math.log(1e-3), math.log(0.3), 2))
+        inner = rng.uniform(0.1, 1.0)
+        outer = inner * (1.0 + widths[0]) * math.exp(rng.uniform(math.log(1.001), math.log(4.0)))
+        c_in, c_out = rng.normal(scale=1.5, size=2)
+        profile = PiecewiseRadialPower(params, (
+            (Annulus(inner, inner * (1.0 + widths[0])), float(c_in)),
+            (Annulus(outer, outer * (1.0 + widths[1])), float(c_out))))
+        yield pytest.param([profile], id=f"two-shell-{k}-d{params.d}")
+
+
+#: The search's pruned grid against every grid ball.
+_PRUNE_CASES = list(_bound_cases()) + list(_small_alpha_cases()) + list(_two_shell_cases())
+
+
+def _report_tuples(reports):
+    return [(r.value, r.argmax_ball, r.abs_uncertainty) for r in reports]
+
+
 class TestMassBound:
     """The search's balls and reports against bounds that need no search: no
     ball holds more than the mass of its radial window, and no report falls
-    below the centered norm."""
+    below the centered norm.  The search scores a ball off the first row
+    only where that shell bound (_BatchObjective._may_reach) can reach the
+    row's best value, so the pruned balls never change a winner."""
 
     @staticmethod
     def _window_bound(objective, profile, a, big_r):
@@ -901,13 +931,53 @@ class TestMassBound:
         assert np.all(value <= bound * (1.0 + 1e-12) + noise)
 
     @pytest.mark.parametrize("profiles", list(_bound_cases()))
+    def test_pruning_bound_reaches_every_batched_value(self, profiles):
+        # _may_reach with each ball's own batched value as the floor keeps
+        # the ball: the library's bound is within _PRUNE_SLACK of it, down to
+        # R = 1e-12 a / alpha.  Below that the bound's difference of two
+        # centered masses cancels, and what the pruning needs still holds:
+        # every ball it drops scores below the first row's best.
+        objective = _BatchObjective(profiles)
+        aa, rr = numeric._search_balls(profiles[0])
+        values = objective(aa, rr)
+        thick = rr >= 1e-12 * aa / objective.alpha
+        for j, profile in enumerate(profiles):
+            alone = _BatchObjective([profile])
+            assert np.all(alone._may_reach(aa, rr, values[:, j:j + 1])[thick])
+        row = int(np.argmax(aa > 0.0))
+        floor = values[:row].max(axis=0)
+        assert np.all(objective._may_reach(aa, rr, floor) | np.all(values < floor, axis=1))
+
+    def test_keeps_a_nan_bound(self):
+        # On the zero core at R == a = 0 the bound adds log(0) / p to
+        # -(1/p - 1/q) log |B_0|, a NaN, and the ball is kept.  At R == a > 0 in the core the shell
+        # holds no mass, the bound is 0 and the ball, which scores 0, goes.
+        objective = _BatchObjective([_zero_core_profile()])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.isnan(log_morrey_quantity(objective.params, 0.0, np.log(0.0)))
+        a = np.array([0.0, 0.1])
+        assert objective._may_reach(a, a, np.ones(1)).tolist() == [True, False]
+        assert objective(a[1:], a[1:]).tolist() == [[0.0]]
+
+    @pytest.mark.parametrize("core, kept", [(1e-310, True), (1e-300, False)])
+    def test_keeps_a_subnormal_shell_mass(self, core, kept):
+        # The shell (0.55, 0.95) of B(0.75, 0.2) lies in the first annulus,
+        # whose mass is about 4 core: far below the floor of 1 either way,
+        # but a subnormal bound mass keeps the ball.
+        profile = PiecewiseRadialPower(MorreyParams(1.0, 2.0, 2), (
+            (Annulus(0.5, 1.0), core), (Annulus(2.0, 2.5), 1.0)))
+        objective = _BatchObjective([profile])
+        a, big_r = np.array([0.75]), np.array([0.2])
+        assert objective._may_reach(a, big_r, np.ones(1)).tolist() == [kept]
+
+    @pytest.mark.parametrize("profiles", list(_bound_cases()))
     def test_reports_reach_the_centered_norm(self, profiles):
         # The search holds the centered supremum's ball, and the report
         # re-scores the winner, so no report falls below the centered norm.
         for profile, report in zip(profiles, morrey_norms_shared(profiles)):
             assert report.value >= centered_norm(profile).value * (1.0 - 1e-12)
 
-    @pytest.mark.parametrize("profiles", list(_bound_cases())[::4])
+    @pytest.mark.parametrize("profiles", _PRUNE_CASES)
     def test_grid_winner_matches_unpruned_grid(self, profiles, monkeypatch):
         seen = []
         refine = numeric._refine
@@ -928,6 +998,25 @@ class TestMassBound:
         assert np.array_equal(a0, aa[best])
         assert np.array_equal(r0, rr[best])
         assert np.array_equal(v0, values[best, np.arange(len(profiles))])
+
+    @pytest.mark.parametrize("profiles", _PRUNE_CASES)
+    def test_pruning_moves_no_report(self, profiles, monkeypatch):
+        # With a bound that keeps every ball the search scores them all, and
+        # every report stays exactly the same.
+        scored, call = [], _BatchObjective.__call__
+
+        def counted(objective, a, big_r):
+            scored.append(np.size(a))
+            return call(objective, a, big_r)
+
+        monkeypatch.setattr(_BatchObjective, "__call__", counted)
+        pruned = _report_tuples(morrey_norms_shared(profiles))
+        pruned_balls = sum(scored)
+        monkeypatch.setattr(_BatchObjective, "_may_reach",
+                            lambda objective, a, big_r, floor: np.ones(a.size, dtype=bool))
+        scored.clear()
+        assert _report_tuples(morrey_norms_shared(profiles)) == pruned
+        assert pruned_balls < sum(scored)
 
 
 def test_corner_balls_put_window_ends_on_boundaries():
