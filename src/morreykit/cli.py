@@ -126,8 +126,8 @@ def _cmd_witness(args) -> int:
         ("theoretical_lower_bound", report.theoretical_lower_bound),
     ]
     combos = report.combinations
-    for pattern, norm_report in zip(combos.patterns, combos.reports):
-        pairs.append((f"norm_{_pattern_label(pattern)}", norm_report.value))
+    for pattern, value in zip(combos.patterns, combos.values.tolist()):
+        pairs.append((f"norm_{_pattern_label(pattern)}", value))
     pairs += [
         ("min_signed_norm", combos.min_over_patterns),
         ("verdict", "PASS" if report.passed else "FAIL"),

@@ -3,20 +3,37 @@ bounds for the n-th James and Von Neumann-Jordan constants.
 
 A witness family for a given delta lives on the K = 2^(n-1) nested annuli
 (eps^(k+1), eps^k).  Function i carries the i-th row of the block sign
-matrix, so for every choice of signs the combination sum_i s_i f_i has one
-annulus where all rows agree and the coefficients add up to n.  That single
-annulus already pushes the norm above n(1-eps^alpha)^(1/p) times the
-pure-power norm, which beats the n(1-delta) threshold whenever eps is small
-enough.
+matrix, so every signed combination has one annulus where all rows agree
+and the coefficients add up to n.
 
-Every combination norm, and the norm of the base function in the NJ ratio,
-is the profile's closed-form centered supremum: one closedform.centered_sups
-call scores all 2^(n-1) combinations from one prefix matrix, and no ball
-search runs on this path.
+Every norm the verdict needs depends on n, p and r = eps^alpha alone.  The
+combination with the signs of column j has the coefficient
+C[j, c] = n - 2 popcount(j xor c) on column c (annulus K-1-c), over
+shared_norm = ||power|| (1 - r^K)^(1/p).  At the centered ball B(0, eps^k)
+the ball factor carries eps^(d k (1/q - 1/p)) and annulus k + m the mass
+eps^(alpha k) r^m (1 - r) times a constant; as alpha/p = d (1/p - 1/q),
+the powers of eps^k cancel, and so do ||power|| and the sphere area:
+
+    Q_j(eps^k) = (S_k / (1 - r^K))^(1/p),  S_k = (1 - r)|C_k|^p + r S_(k+1),
+
+from S_K = 0, with C_k the coefficient on annulus k; S stays in [0, n^p].
+Q is monotone between boundaries (closedform.centered_sups), so the largest
+Q_j(eps^k) is the combination's centered supremum, a lower bound for its
+norm (test_witness_patterns_equal_their_centered_sup finds no ball above
+it).  S >= (1 - r) n^p at the agreeing annulus and S <= (1 - r)(n - 2)^p +
+r n^p at the others, so when the margin (1 - r)(n^p - (n - 2)^p) - r n^p is
+positive, every supremum sits at its agreeing annulus; its sum, cut where
+n^p r^M falls below half an ulp of (1 - r) n^p, costs O(M).  Otherwise the
+recurrence runs over all K boundaries.  The minimum is at least
+n ((1 - r) / (1 - r^K))^(1/p) > n (1 - eps^alpha)^(1/p) > n (1 - delta).
+WitnessFamily.functions, on explicit radii that leave the double range long
+before n = 20, is built only for the off-center audit and --emit-profiles.
 """
 
+import functools
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -24,15 +41,17 @@ import numpy as np
 
 from .core import (
     Annulus,
+    Ball,
     FiniteVectorTuple,
     MorreyParams,
+    NormMethod,
+    NormReport,
     NumericalFailure,
     ParameterError,
     PiecewiseRadialPower,
+    SIGN_MATRIX_MAX_N,
     SignMatrix,
-    WitnessFamily,
     sign_matrix,
-    warn_if_underflow,
 )
 from . import closedform
 from .numeric import DEFAULT_SEARCH
@@ -44,28 +63,103 @@ WITNESS_SEARCH = DEFAULT_SEARCH
 JAMES = "james"
 VON_NEUMANN_JORDAN = "von_neumann_jordan"
 
+#: Largest n for the K^2-step recurrence over all boundaries (8 s at n = 16).
+_FULL_RECURRENCE_MAX_N = 16
 
-@dataclass(frozen=True)
-class SignedCombinationReport:
-    """All 2^(n-1) signed-combination norms of a witness family.
 
-    Patterns list the signs (s_2, ..., s_n); the first sign is pinned to +1
-    because the norm is even.  pattern is the minimizing one.
-    """
+@dataclass(frozen=True, eq=False)
+class WitnessFamily:
+    """n unit-norm annular power functions built from one (delta, epsilon):
+    on the annuli (eps^(k+1), eps^k), k < K = 2^(n-1), each has the
+    coefficients +-1/shared_norm, the norm of the power on (eps^K, 1)."""
 
-    patterns: tuple
-    reports: tuple
-    min_over_patterns: float
-    pattern: tuple
+    params: MorreyParams
+    n: int
+    delta: float
+    epsilon: float
 
     def __post_init__(self):
-        values = [r.value for r in self.reports]
-        if not values or min(values) != self.min_over_patterns:
-            raise ParameterError("min_over_patterns must be the minimum norm")
+        if not (isinstance(self.n, int) and 2 <= self.n <= SIGN_MATRIX_MAX_N):
+            raise ParameterError(f"n must be an int in [2, {SIGN_MATRIX_MAX_N}], got {self.n!r}")
+        bound = closedform.epsilon_upper_bound(self.params, self.delta)
+        if not (0.0 < self.epsilon < bound):
+            raise ParameterError(f"epsilon must lie strictly inside (0, {bound}), "
+                                 f"got {self.epsilon}")
+
+    @property
+    def num_annuli(self) -> int:
+        return 2 ** (self.n - 1)
+
+    @property
+    def log_r(self) -> float:
+        """log(r) for the annulus mass ratio r = eps^alpha."""
+        return self.params.alpha * math.log(self.epsilon)
+
+    @property
+    def shared_norm(self) -> float:
+        inner = -math.expm1(self.num_annuli * self.log_r)
+        return closedform.power_norm_exact(self.params) * inner ** (1.0 / self.params.p)
+
+    @functools.cached_property
+    def functions(self) -> tuple:
+        """The n functions, built on first access.  Annulus k gets the sign in
+        column K-1-k, so segments and columns run from the innermost out."""
+        params, n, epsilon, num_annuli = self.params, self.n, self.epsilon, self.num_annuli
+        radii = np.exp(np.arange(num_annuli + 1) * math.log(epsilon))
+        where = f"n={n} needs K={num_annuli} annuli and the innermost"
+        if not radii[num_annuli] >= sys.float_info.min:
+            raise NumericalFailure(f"{where} radius epsilon^K = {epsilon!r}^{num_annuli} is not a "
+                                   "positive normal double; use a larger epsilon or a smaller n")
+        if num_annuli * self.log_r < math.log(1e-300):
+            warnings.warn(f"epsilon^(alpha*{num_annuli}) is below 1e-300; annulus integrals "
+                          "will underflow 64-bit floats", RuntimeWarning, stacklevel=3)
+        if closedform.shell_integral(params, radii[num_annuli], radii[num_annuli - 1]) == 0.0:
+            raise NumericalFailure(f"{where} one's mass, at epsilon = {epsilon!r} and alpha = "
+                                   f"{params.alpha!r}, underflows to 0; use a larger epsilon "
+                                   "or a smaller n")
+        annuli = [Annulus(radii[k + 1], radii[k]) for k in range(num_annuli - 1, -1, -1)]
+        rows = sign_matrix(n).entries / self.shared_norm
+        return tuple(PiecewiseRadialPower(params, tuple(zip(annuli, row))) for row in rows)
+
+
+@dataclass(frozen=True, eq=False)
+class SignedCombinationReport:
+    """All 2^(n-1) signed-combination norms of a witness family: values[j]
+    for the signs in column j of the sign matrix, its best ball
+    B(0, eps^boundaries[j]).  A pattern lists the signs (s_2, ..., s_n), the
+    first being pinned to +1 as the norm is even; pattern is the minimizer."""
+
+    values: np.ndarray
+    boundaries: np.ndarray
+    epsilon: float
+
+    @property
+    def min_over_patterns(self) -> float:
+        return float(self.values.min())
+
+    @property
+    def patterns(self) -> tuple:
+        n = self.values.size.bit_length()
+        return tuple(map(tuple, sign_matrix(n).entries[1:].T.tolist()))
+
+    @property
+    def pattern(self) -> tuple:
+        return self.patterns[int(np.argmin(self.values))]
 
     @property
     def norm_values(self) -> np.ndarray:
-        return np.array([r.value for r in self.reports])
+        return self.values
+
+    @property
+    def reports(self) -> tuple:
+        radii = np.exp(self.boundaries * math.log(self.epsilon))
+        if not np.all(radii >= sys.float_info.min):
+            raise NumericalFailure(f"a best ball's radius {self.epsilon!r}^"
+                                   f"{self.boundaries.max()} is not a positive normal double")
+        return tuple(NormReport(value=value, argmax_ball=Ball(0.0, radius),
+                                method=NormMethod.CENTERED_SEARCH,
+                                abs_uncertainty=4.0 * value * 1e-12)
+                     for value, radius in zip(self.values.tolist(), radii.tolist()))
 
 
 @dataclass(frozen=True)
@@ -121,54 +215,10 @@ class JNJCheckReport:
 
 def build_witnesses(params: MorreyParams, n: int, delta: float,
                     epsilon: float | None = None) -> WitnessFamily:
-    """Construct the n normalized witness functions for a given delta.
-
-    Annulus k = 0..K-1 is (eps^(k+1), eps^k); it receives the sign stored in
-    column K-1-k of the sign matrix, so column order runs from the innermost
-    annulus outward.  All functions share the modulus of the power function
-    restricted to (eps^K, 1) and are divided by that restriction's norm.
-    """
-    if not (0.0 < delta < 1.0):
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    matrix = sign_matrix(n)
-    bound = closedform.epsilon_upper_bound(params, delta)
+    """The witness family at epsilon, by default half the admissible bound."""
     if epsilon is None:
-        epsilon = bound / 2.0
-    elif not (0.0 < epsilon < bound):
-        raise ParameterError(
-            f"epsilon must lie strictly inside (0, {bound}), got {epsilon}"
-        )
-    num_annuli = matrix.num_patterns
-    radii = np.exp(np.arange(num_annuli + 1) * math.log(epsilon))
-    if not radii[num_annuli] >= sys.float_info.min:
-        raise NumericalFailure(
-            f"n={n} needs K={num_annuli} annuli and the innermost radius "
-            f"epsilon^K = {epsilon!r}^{num_annuli} is not a positive normal "
-            "double; use a larger epsilon or a smaller n"
-        )
-    warn_if_underflow(params, epsilon, num_annuli)
-    if closedform.shell_integral(params, radii[num_annuli], radii[num_annuli - 1]) == 0.0:
-        raise NumericalFailure(
-            f"n={n} needs K={num_annuli} annuli and the innermost one's mass, at epsilon = "
-            f"{epsilon!r} and alpha = {params.alpha!r}, underflows to 0; use a larger epsilon "
-            "or a smaller n")
-
-    shared = closedform.centered_norm(
-        PiecewiseRadialPower.power_restriction(params, radii[num_annuli], 1.0)
-    ).value
-
-    functions = []
-    for i in range(n):
-        segments = []
-        for k in range(num_annuli - 1, -1, -1):
-            sign = float(matrix.entries[i, num_annuli - 1 - k])
-            segments.append((Annulus(radii[k + 1], radii[k]), sign / shared))
-        functions.append(PiecewiseRadialPower(params, tuple(segments)))
-
-    return WitnessFamily(
-        params=params, n=n, delta=delta, epsilon=epsilon,
-        functions=tuple(functions), shared_norm=shared,
-    )
+        epsilon = closedform.epsilon_upper_bound(params, delta) / 2.0
+    return WitnessFamily(params=params, n=n, delta=delta, epsilon=epsilon)
 
 
 def combination_coefficients(matrix: SignMatrix) -> np.ndarray:
@@ -183,35 +233,51 @@ def combination_coefficients(matrix: SignMatrix) -> np.ndarray:
     return m.T @ m
 
 
-def min_signed_norm(family: WitnessFamily) -> SignedCombinationReport:
-    """Norms of all 2^(n-1) signed combinations and their minimum.
+def _levels(n: int, p: float) -> np.ndarray:
+    """|C|^p for C = n - 2h, by h = popcount(j xor c) = 0..n-1."""
+    return np.abs(n - 2.0 * np.arange(n)) ** p
 
-    Each norm is the combination's closed-form centered supremum, all from
-    one closedform.centered_sups call: a lower bound for its Morrey norm,
-    which is what the verdict needs.  The moduli of mixed-sign combinations
-    need not be radially monotone, yet the off-center search finds no ball
-    above these values (test_witness_patterns_equal_their_centered_sup).
-    """
-    matrix = sign_matrix(family.n)
-    # Column k of the coefficients and segment k of every function are
-    # annulus k, innermost first.  A coefficient is +-m / shared_norm with
-    # m <= n, so n + 1 Python powers give every |coeff|^p.
-    levels = np.array([(m / family.shared_norm) ** family.params.p
-                       for m in range(family.n + 1)])
-    cp = levels[np.abs(combination_coefficients(matrix))].T
-    reports = closedform.centered_sups(
-        family.params, *closedform.annulus_ends(family.functions[0]), cp)
-    patterns = tuple(map(tuple, matrix.entries[1:].T.tolist()))
-    values = [r.value for r in reports]
-    argmin = int(np.argmin(values))
-    return SignedCombinationReport(patterns=patterns, reports=tuple(reports),
-                                   min_over_patterns=values[argmin], pattern=patterns[argmin])
+
+def _norms(sums, n: int, p: float, log_r: float) -> np.ndarray:
+    return (sums / -math.expm1(2 ** (n - 1) * log_r)) ** (1.0 / p)
+
+
+def _pattern_sups(n: int, p: float, log_r: float) -> tuple:
+    """(values, boundaries): each pattern's centered supremum and the k of
+    its ball B(0, eps^k), in column order, from n, p and r = exp(log_r)."""
+    num, j = 2 ** (n - 1), np.arange(2 ** (n - 1))
+    r, one_minus_r, levels = math.exp(log_r), -math.expm1(log_r), _levels(n, p)
+    if one_minus_r * (levels[0] - levels[1]) - r * levels[0] > 0.0:
+        # Horner over the agreeing column j and the columns j-1, ... inside it
+        half_ulp = math.ulp(one_minus_r * levels[0]) / 2.0
+        depth = min(num, int(math.log(half_ulp / levels[0]) / log_r) + 1)
+        acc = np.zeros(num)
+        for m in range(depth - 1, -1, -1):
+            acc[m:] = levels[np.bitwise_count(j[m:] ^ j[:num - m])] + r * acc[m:]
+        return _norms(one_minus_r * acc, n, p, log_r), num - 1 - j
+    if n > _FULL_RECURRENCE_MAX_N:
+        raise NumericalFailure(f"at n={n} and r = {r!r} the agreeing annulus does not dominate, "
+                               f"and K={num} boundaries take K^2 steps; use a smaller epsilon")
+    sums, best, boundaries = np.zeros(num), np.full(num, -1.0), np.zeros(num, dtype=np.int64)
+    for c in range(num):  # innermost first: on ties the smaller ball stays
+        sums = one_minus_r * levels[np.bitwise_count(j ^ c)] + r * sums
+        better = sums > best
+        best[better], boundaries[better] = sums[better], num - 1 - c
+    return _norms(best, n, p, log_r), boundaries
+
+
+def min_signed_norm(family: WitnessFamily) -> SignedCombinationReport:
+    """The centered suprema of all 2^(n-1) signed combinations."""
+    values, boundaries = _pattern_sups(family.n, family.params.p, family.log_r)
+    return SignedCombinationReport(values=values, boundaries=boundaries,
+                                   epsilon=family.epsilon)
 
 
 def theoretical_lower_bound(family: WitnessFamily) -> float:
-    """n (1 - eps^alpha)^(1/p) ||power|| / shared_norm, valid for every pattern."""
-    chunk = closedform.chunk_lower_bound(family.params, family.epsilon)
-    return family.n * chunk / family.shared_norm
+    """n ((1 - r) / (1 - r^K))^(1/p) in the kernel's own floating-point
+    steps, so that no pattern rounds below it."""
+    n, p, log_r = family.n, family.params.p, family.log_r
+    return float(_norms(-math.expm1(log_r) * _levels(n, p)[:1], n, p, log_r)[0])
 
 
 _ENVELOPE_SLACK = 1e-8
@@ -219,16 +285,14 @@ _ENVELOPE_SLACK = 1e-8
 
 def _check_envelope(family: WitnessFamily, report: SignedCombinationReport) -> None:
     """Every combination norm must sit inside the two-sided analytic bound."""
-    lower = theoretical_lower_bound(family)
-    upper = float(family.n)
-    for pattern, r in zip(report.patterns, report.reports):
-        where = f"pattern {pattern}, ball {r.argmax_ball}"
-        if r.value < lower * (1.0 - _ENVELOPE_SLACK):
-            raise NumericalFailure(
-                f"combination norm {r.value} at {where} fell below the analytic bound {lower}")
-        if r.value > upper * (1.0 + _ENVELOPE_SLACK):
-            raise NumericalFailure(
-                f"combination norm {r.value} at {where} exceeds the cap {upper}")
+    lower, upper = theoretical_lower_bound(family), float(family.n)
+    below = report.values < lower * (1.0 - _ENVELOPE_SLACK)
+    outside = below | (report.values > upper * (1.0 + _ENVELOPE_SLACK))
+    if outside.any():
+        j = int(np.argmax(outside))
+        what = f"fell below the analytic bound {lower}" if below[j] else f"exceeds the cap {upper}"
+        where = f"pattern {report.patterns[j]}, ball B(0, eps^{report.boundaries[j]})"
+        raise NumericalFailure(f"combination norm {report.values[j]} at {where} {what}")
 
 
 def verify_non_ell1n(params: MorreyParams, n: int, delta: float,
@@ -244,7 +308,7 @@ def verify_non_ell1n(params: MorreyParams, n: int, delta: float,
         passed=bool(report.min_over_patterns > threshold),
         threshold=threshold,
         theoretical_lower_bound=theoretical_lower_bound(family),
-        nj_ratio=_family_nj_ratio(family, report),
+        nj_ratio=float(np.sum(report.values**2) / (report.values.size * n)),
         combinations=report,
         family=family,
     )
@@ -266,9 +330,6 @@ def _validate_delta_sequence(delta_sequence) -> list:
     deltas = [float(x) for x in delta_sequence]
     if not deltas:
         raise ParameterError("delta sequence must be nonempty")
-    for x in deltas:
-        if not (0.0 < x < 1.0):
-            raise ParameterError(f"delta must lie in (0, 1), got {x}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ParameterError("delta sequence must be strictly decreasing")
     return deltas
@@ -305,26 +366,19 @@ def nj_ratio(obj) -> float:
 
     Equals 1 identically for Euclidean tuples: expanding the squares, every
     cross term is multiplied by a balanced set of signs and cancels.  For a
-    witness family, every norm is a closed-form centered supremum (see
-    min_signed_norm).
+    witness family, every signed norm is a closed-form centered supremum (see
+    min_signed_norm) and every member's norm is 1.
     """
     if isinstance(obj, FiniteVectorTuple):
         norms = obj.vector_norms()
         if np.any(norms == 0.0):
             raise ParameterError("all tuple elements must be nonzero")
-        signed = _tuple_signed_norms(obj)
-        return float(np.sum(signed**2) / (signed.size * np.sum(norms**2)))
-    if isinstance(obj, WitnessFamily):
-        return _family_nj_ratio(obj, min_signed_norm(obj))
-    raise ParameterError(f"unsupported operand {type(obj).__name__}")
-
-
-def _family_nj_ratio(family: WitnessFamily,
-                     combinations: SignedCombinationReport) -> float:
-    # All family members share one modulus, hence the one norm base.
-    base = closedform.centered_norm(family.functions[0]).value
-    signed = combinations.norm_values
-    return float(np.sum(signed**2) / (signed.size * family.n * base**2))
+        signed, total = _tuple_signed_norms(obj), np.sum(norms**2)
+    elif isinstance(obj, WitnessFamily):
+        signed, total = min_signed_norm(obj).values, obj.n
+    else:
+        raise ParameterError(f"unsupported operand {type(obj).__name__}")
+    return float(np.sum(signed**2) / (signed.size * total))
 
 
 def j_nj_inequality_check(samples, rel_tol: float = 1e-9) -> JNJCheckReport:

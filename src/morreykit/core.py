@@ -1,10 +1,9 @@
 """Shared domain types: Morrey exponent triples, annular power profiles,
-balls, sign matrices, witness families."""
+balls, sign matrices."""
 
 import functools
 import math
 import os
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -106,7 +105,7 @@ class MorreyParams:
 
 
 def epsilon_upper_bound_raw(params: MorreyParams, delta: float) -> float:
-    """(1 - (1-delta)^p)^(q/(d q - d p)); shared by closedform and validation."""
+    """(1 - (1-delta)^p)^(q/(d q - d p)), for closedform.epsilon_upper_bound."""
     exponent = params.q / (params.d * params.q - params.d * params.p)
     return log_domain_pow(-math.expm1(params.p * math.log1p(-delta)), exponent)
 
@@ -321,60 +320,6 @@ def sign_matrix(n: int) -> SignMatrix:
     entries = (1 - 2 * bits).astype(np.int8)
     entries.setflags(write=False)
     return SignMatrix(n=n, entries=entries)
-
-
-@dataclass(frozen=True, eq=False)
-class WitnessFamily:
-    """n unit-norm annular power functions built from one (delta, epsilon).
-
-    Each function lives on the 2^(n-1) annuli (eps^(k+1), eps^k) with
-    coefficients +-1/shared_norm, so all have identical modulus and the
-    common norm 1 after division by shared_norm, the norm of the power
-    function restricted to (eps^K, 1).
-    """
-
-    params: MorreyParams
-    n: int
-    delta: float
-    epsilon: float
-    functions: tuple
-    shared_norm: float
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ParameterError(f"witness family needs n >= 2, got {self.n}")
-        if not (0.0 < self.delta < 1.0):
-            raise ParameterError(f"delta must lie in (0, 1), got {self.delta}")
-        bound = epsilon_upper_bound_raw(self.params, self.delta)
-        if not (0.0 < self.epsilon < bound):
-            raise ParameterError(
-                f"epsilon must lie strictly inside (0, {bound}), got {self.epsilon}"
-            )
-        if not (math.isfinite(self.shared_norm) and self.shared_norm > 0):
-            raise ParameterError("shared_norm must be finite and positive")
-        if len(self.functions) != self.n:
-            raise ParameterError(f"expected {self.n} functions, got {len(self.functions)}")
-        k_annuli = 2 ** (self.n - 1)
-        inv = 1.0 / self.shared_norm
-        for f in self.functions:
-            if len(f.segments) != k_annuli:
-                raise ParameterError(f"each function needs {k_annuli} segments")
-            for ann, coeff in f.segments:
-                if abs(abs(coeff) - inv) > 1e-12 * inv:
-                    raise ParameterError(
-                        "witness coefficients must be +-1/shared_norm"
-                    )
-
-    @property
-    def num_annuli(self) -> int:
-        return 2 ** (self.n - 1)
-
-
-def warn_if_underflow(params: MorreyParams, epsilon: float, num_annuli: int) -> None:
-    """Emit a warning when eps^(alpha*K) leaves the double range."""
-    if params.alpha * num_annuli * math.log(epsilon) < math.log(1e-300):
-        warnings.warn(f"epsilon^(alpha*{num_annuli}) is below 1e-300; annulus integrals "
-                      "will underflow 64-bit floats", RuntimeWarning, stacklevel=3)
 
 
 @dataclass(frozen=True, eq=False)

@@ -120,21 +120,35 @@ class TestWitness:
         assert code == 2
         assert "delta" in err
 
-    def test_underflowing_radius_exit_3(self, capsys):
-        code, out, err = run(capsys, "witness", "--n", "9", "--d", "1",
-                             "--delta", "0.1")
+    def test_underflowing_radius_exit_3(self, capsys, tmp_path):
+        # the verdict needs no radii; only the written profiles do
+        argv = ["witness", "--n", "9", "--d", "1", "--delta", "0.1"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and parse_kv(out)["verdict"] == "PASS"
+        code, out, err = run(capsys, *argv, "--emit-profiles", str(tmp_path / "w"))
         assert code == 3
         assert out == ""
         assert "numerical failure" in err and "n=9" in err and "K=256" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_underflowing_mass_exit_3(self, capsys):
+    def test_underflowing_mass_exit_3(self, capsys, tmp_path):
         # a normal innermost radius whose annulus' mass underflows to 0
-        code, out, err = run(capsys, "witness", "--d", "3", "--q", "3.5",
-                             "--n", "8", "--delta", "0.01")
+        argv = ["witness", "--d", "3", "--q", "3.5", "--n", "8", "--delta", "0.01"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and parse_kv(out)["verdict"] == "PASS"
+        code, out, err = run(capsys, *argv, "--emit-profiles", str(tmp_path / "w"))
         assert code == 3
         assert out == ""
         assert "numerical failure" in err and "underflows" in err and "K=128" in err
+
+    def test_subnormal_mass_family_passes(self, capsys):
+        # subnormal annulus masses once put this family 1e-11 below its bound
+        code, out, _ = run(capsys, "witness", "--d", "2", "--q", "8", "--n", "8",
+                           "--delta", "0.01")
+        assert code == 0
+        pairs = parse_kv(out)
+        assert pairs["verdict"] == "PASS"
+        assert float(pairs["min_signed_norm"]) >= float(pairs["theoretical_lower_bound"])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_subnormal_masses_still_pass(self, capsys):

@@ -27,7 +27,8 @@ from morreykit import (
 from morreykit import cli, numeric
 from morreykit.constants import _check_envelope, estimate_constants
 from morreykit.sampling import random_euclidean_tuple, random_lp_tuple
-from witness_reference import _combination_profiles, _running_centered_sup
+from witness_reference import (_centered_quantities, _combination_profiles,
+                               _running_centered_sup)
 
 P121 = MorreyParams(1.0, 2.0, 1)
 P122 = MorreyParams(1.0, 2.0, 2)
@@ -97,28 +98,47 @@ class TestBuildWitnesses:
         # alpha = 2 and 1024 annuli: eps^(alpha K) is subnormal, about
         # 1e-311, while the boundaries stay normal and the innermost mass
         # stays positive (test_innermost_mass_underflow_raises has it at 0)
+        family = build_witnesses(MorreyParams(1.0, 3.0, 3), 11, 0.5, epsilon=0.705)
         with pytest.warns(RuntimeWarning):
-            build_witnesses(MorreyParams(1.0, 3.0, 3), 11, 0.5, epsilon=0.705)
+            family.functions
 
     @pytest.mark.parametrize("d,n,delta", [(2, 5, 0.005), (1, 8, 0.1), (2, 8, 0.1)])
     def test_no_warning_above_the_limits(self, d, n, delta):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            build_witnesses(MorreyParams(1, 2, d), n, delta)
+            build_witnesses(MorreyParams(1, 2, d), n, delta).functions
 
     def test_innermost_radius_underflow_raises(self):
         # alpha = 1/2 < 1: eps^K underflows to 0 at n = 9 (K = 256) while
         # eps^(alpha K) is still above the warning threshold
+        family = build_witnesses(P121, 9, 0.1)
         with pytest.raises(NumericalFailure, match=r"n=9.*K=256.*0\.005"):
-            build_witnesses(P121, 9, 0.1)
+            family.functions
 
     def test_innermost_mass_underflow_raises(self):
         # d = 3, q = 3.5: eps^K = 2.6e-158 is a normal double, but with
         # alpha = 15/7 the innermost annulus' mass underflows to 0
-        params = MorreyParams(1.0, 3.5, 3)
+        family = build_witnesses(MorreyParams(1.0, 3.5, 3), 8, 0.01)
         with pytest.warns(RuntimeWarning), pytest.raises(
                 NumericalFailure, match=r"n=8.*K=128.*alpha = 2\.14.*underflows"):
-            build_witnesses(params, 8, 0.01)
+            family.functions
+
+    def test_verdict_needs_no_radii(self):
+        # at n = 9..20 the innermost radius eps^K is far below the double
+        # range, yet the verdict reads n, p and eps^alpha alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in range(9, 21):
+                for d in (1, 2, 3):
+                    report = verify_non_ell1n(MorreyParams(1.0, 2.0, d), n, 0.1)
+                    assert report.passed, (n, d)
+                    assert report.combinations.values.size == 2 ** (n - 1)
+
+    def test_undominated_sums_refused_beyond_the_cap(self):
+        # r = 0.405^(1/2) = 0.64: the agreeing annulus never dominates, and
+        # scoring every boundary of 2^16 annuli would take 2^32 steps
+        with pytest.raises(NumericalFailure, match=r"n=17.*does not dominate"):
+            verify_non_ell1n(P121, 17, 0.9)
 
 
 class TestCombinationCoefficients:
@@ -186,31 +206,83 @@ def _reference_grid():
                         yield n, MorreyParams(p, q, d), delta
 
 
+def _dominated(family):
+    """Whether the agreeing annulus dominates every pattern sum: the margin
+    (1 - r)(n^p - (n-2)^p) - r n^p is positive, r = eps^alpha."""
+    n, p = family.n, family.params.p
+    r = family.epsilon ** family.params.alpha
+    return (1.0 - r) * (n**p - (n - 2) ** p) > r * n**p
+
+
 class TestPatternsEqualPerProfileLoop:
-    """min_signed_norm scores all patterns from one prefix matrix; each
-    pattern's value and radius equal a running-sum loop over that pattern's
-    own profile exactly."""
+    """min_signed_norm scores all patterns from n, p and r alone; each
+    pattern's value is within 2e-13 of a running-sum loop over that
+    pattern's own profile on explicit radii, and its ball is the loop's
+    wherever the two balls' values differ by more than that."""
 
     def test_grid(self):
-        checked = 0
+        checked, undominated = 0, 0
         for n, params, delta in _reference_grid():
+            family = build_witnesses(params, n, delta)
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    family = build_witnesses(params, n, delta)
+                    profiles = _combination_profiles(family)
             except NumericalFailure:
                 continue  # an innermost radius or mass that underflows
             report = min_signed_norm(family)
             for (pattern, profile), got, have in zip(
-                    _combination_profiles(family), report.reports, report.patterns):
+                    profiles, report.reports, report.patterns):
                 assert have == pattern
+                where = (n, params, delta, pattern)
+                quantities = dict(_centered_quantities(profile))
                 value, radius = _running_centered_sup(profile)
-                assert got.value == value, (n, params, delta, pattern)
-                assert got.argmax_ball.radius == radius, (n, params, delta, pattern)
+                assert math.isclose(got.value, value, rel_tol=2e-13), where
                 assert got.argmax_ball.center_dist == 0.0
+                if got.argmax_ball.radius != radius:
+                    assert math.isclose(quantities[got.argmax_ball.radius], value,
+                                        rel_tol=2e-13), where
             checked += len(report.reports)
-        # 9,180 patterns less the 9 families that build_witnesses refuses
+            undominated += not _dominated(family)
+        # 9,180 patterns less the 9 families whose radii underflow; both
+        # kernel paths are covered
         assert checked == 8056
+        assert undominated == 7
+
+    def test_minimum_never_rounds_below_the_bound(self):
+        # all 252 families, the 9 that have no explicit radii included; at
+        # n = 7, d = 2, delta = 0.1 summing annulus masses on explicit radii
+        # gives 6.649999999999791, below the bound 6.65
+        for n, params, delta in _reference_grid():
+            report = verify_non_ell1n(params, n, delta)
+            assert report.passed
+            assert report.min_signed_norm >= report.theoretical_lower_bound, (n, params, delta)
+
+    def test_deep_family_against_60_digits(self):
+        # d = 3, q = 2, n = 8, delta = 0.01: annulus masses down to eps^(alpha K)
+        # = 1e-255, every centered quantity summed in 60-digit arithmetic
+        # from the definition, with no cancellation of radius powers
+        mpmath = pytest.importorskip("mpmath")
+        params, n = MorreyParams(1.0, 2.0, 3), 8
+        family = build_witnesses(params, n, 0.01)
+        report = min_signed_norm(family)
+        with mpmath.workdps(60):
+            p, q, d = (mpmath.mpf(x) for x in (params.p, params.q, params.d))
+            alpha, eps, num = d - d * p / q, mpmath.mpf(family.epsilon), family.num_annuli
+            omega = 2 * mpmath.pi ** (d / 2) / mpmath.gamma(d / 2)
+            ball = [omega / d * eps ** (d * k) for k in range(num)]
+            mass = [omega / alpha * (eps ** (alpha * k) - eps ** (alpha * (k + 1)))
+                    for k in range(num)]
+            shared = (omega / d) ** (1 / q - 1 / p) * sum(mass) ** (1 / p)
+            coeffs = combination_coefficients(sign_matrix(n))
+            for j in range(num):
+                best, inner = mpmath.mpf(0), mpmath.mpf(0)
+                for k in range(num - 1, -1, -1):  # annulus k is column num-1-k
+                    inner += abs(int(coeffs[j, num - 1 - k]) / shared) ** p * mass[k]
+                    best = max(best, ball[k] ** (1 / q - 1 / p) * inner ** (1 / p))
+                assert abs(report.values[j] - best) <= 1e-15 * best, j
+                if j == int(np.argmin(report.values)):
+                    assert mpmath.nstr(best, 15) == "7.97171572875254"
 
 
 class TestSharedSearch:
@@ -256,16 +328,14 @@ class TestVerifyNonEll1n:
     def test_envelope_failure_names_pattern_and_ball(self, value, failure):
         family = build_witnesses(P121, 3, 0.1)
         report = min_signed_norm(family)
-        reports = list(report.reports)
-        reports[1] = dataclasses.replace(reports[1], value=value)
-        sabotaged = dataclasses.replace(report, reports=tuple(reports),
-                                        min_over_patterns=min(r.value for r in reports))
+        values = report.values.copy()
+        values[1] = value
         with pytest.raises(NumericalFailure) as caught:
-            _check_envelope(family, sabotaged)
+            _check_envelope(family, dataclasses.replace(report, values=values))
         message = str(caught.value)
         assert failure in message
         assert f"pattern {report.patterns[1]}" in message
-        assert f"ball {reports[1].argmax_ball}" in message
+        assert f"ball B(0, eps^{report.boundaries[1]})" in message
 
     def test_report_carries_inputs(self):
         report = verify_non_ell1n(P121, 2, 0.3, epsilon=0.01)

@@ -27,7 +27,7 @@ from morreykit import (
     sin_power_integral,
     sphere_area,
 )
-from morreykit.constants import build_witnesses
+from morreykit.constants import build_witnesses, min_signed_norm
 from morreykit import numeric
 from morreykit.closedform import annulus_ends, log_morrey_quantity, morrey_quantity
 from morreykit.numeric import _BALL_BLOCK, _BatchObjective
@@ -560,10 +560,12 @@ def test_witness_patterns_equal_their_centered_sup(n, d, q):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         family = build_witnesses(MorreyParams(1.0, q, d), n, 0.1)
-    jobs = _combination_profiles(family)
+        jobs = _combination_profiles(family)
     reports = morrey_norms_shared([profile for _, profile in jobs])
-    for (pattern, profile), report in zip(jobs, reports):
+    values = min_signed_norm(family).values.tolist()
+    for (pattern, profile), report, value in zip(jobs, reports, values):
         assert math.isclose(report.value, centered_norm(profile).value, rel_tol=1e-12), pattern
+        assert math.isclose(report.value, value, rel_tol=1e-12), pattern
 
 
 def _two_sum(x, y):

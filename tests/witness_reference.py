@@ -1,6 +1,7 @@
 """Per-profile references for the witness path, shared by the test modules:
 every signed combination of a witness family as its own profile, and the
-centered supremum by a running sum over one profile's segments."""
+centered quantity and supremum by a running sum over one profile's
+segments."""
 
 from morreykit import PiecewiseRadialPower, combination_coefficients, sign_matrix
 from morreykit.closedform import morrey_quantity, shell_integral
@@ -25,12 +26,12 @@ def _combination_profiles(family):
     return profiles
 
 
-def _running_centered_sup(profile):
-    """(value, radius) of a bounded profile's centered supremum: the
-    centered quantity at every positive boundary, its mass a running sum of
-    whole-annulus masses in annulus order, and the first strict maximum."""
+def _centered_quantities(profile):
+    """(radius, value) of a bounded profile's centered quantity at every
+    positive boundary, ascending, its mass a running sum of whole-annulus
+    masses in annulus order."""
     params = profile.params
-    value, radius = -1.0, None
+    out = []
     mass = 0.0
     segments = iter(profile.segments)
     pending = next(segments, None)
@@ -42,7 +43,15 @@ def _running_centered_sup(profile):
             if coeff != 0.0:
                 mass += abs(coeff) ** params.p * shell_integral(params, ann.r_lo, ann.r_hi)
             pending = next(segments, None)
-        here = morrey_quantity(params, r, mass) if mass > 0.0 else 0.0
+        out.append((r, morrey_quantity(params, r, mass) if mass > 0.0 else 0.0))
+    return out
+
+
+def _running_centered_sup(profile):
+    """(value, radius) of a bounded profile's centered supremum: the first
+    strict maximum of _centered_quantities."""
+    value, radius = -1.0, None
+    for r, here in _centered_quantities(profile):
         if here > value:
             value, radius = here, r
     return value, radius
