@@ -20,11 +20,12 @@ from S_K = 0, with C_k the coefficient on annulus k; S stays in [0, n^p].
 Q is monotone between boundaries (closedform.centered_sups), so the largest
 Q_j(eps^k) is the combination's centered supremum, a lower bound for its
 norm (test_witness_patterns_equal_their_centered_sup finds no ball above
-it).  S >= (1 - r) n^p at the agreeing annulus and S <= (1 - r)(n - 2)^p +
-r n^p at the others, so when the margin (1 - r)(n^p - (n - 2)^p) - r n^p is
-positive, every supremum sits at its agreeing annulus; its sum, cut where
-n^p r^M falls below half an ulp of (1 - r) n^p, costs O(M).  Otherwise the
-recurrence runs over all K boundaries.  The minimum is at least
+it).  S >= (1 - r) n^p at the agreeing annulus and S <= (1 - r)|C|^p + r n^p
+elsewhere, so a supremum needs (1 - r)(n^p - |C|^p) <= r n^p: it sits at the
+agreeing annulus when (1 - r)(n^p - (n - 2)^p) > r n^p.  Per mask, a sum cut
+where n^p r^M drops below half an ulp of (1 - r) n^p scores column j xor mask
+of every pattern j in O(K M); where the masks times M exceed K, the recurrence
+runs over all K boundaries instead, in O(K^2).  The minimum is at least
 n ((1 - r) / (1 - r^K))^(1/p) > n (1 - eps^alpha)^(1/p) > n (1 - delta).
 WitnessFamily.functions, on explicit radii that leave the double range long
 before n = 20, is built only for the off-center audit and --emit-profiles.
@@ -62,9 +63,6 @@ WITNESS_SEARCH = DEFAULT_SEARCH
 
 JAMES = "james"
 VON_NEUMANN_JORDAN = "von_neumann_jordan"
-
-#: Largest n for the K^2-step recurrence over all boundaries (8 s at n = 16).
-_FULL_RECURRENCE_MAX_N = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,20 +245,26 @@ def _pattern_sups(n: int, p: float, log_r: float) -> tuple:
     its ball B(0, eps^k), in column order, from n, p and r = exp(log_r)."""
     num, j = 2 ** (n - 1), np.arange(2 ** (n - 1))
     r, one_minus_r, levels = math.exp(log_r), -math.expm1(log_r), _levels(n, p)
-    if one_minus_r * (levels[0] - levels[1]) - r * levels[0] > 0.0:
-        # Horner over the agreeing column j and the columns j-1, ... inside it
-        half_ulp = math.ulp(one_minus_r * levels[0]) / 2.0
-        depth = min(num, int(math.log(half_ulp / levels[0]) / log_r) + 1)
-        acc = np.zeros(num)
-        for m in range(depth - 1, -1, -1):
-            acc[m:] = levels[np.bitwise_count(j[m:] ^ j[:num - m])] + r * acc[m:]
-        return _norms(one_minus_r * acc, n, p, log_r), num - 1 - j
-    if n > _FULL_RECURRENCE_MAX_N:
-        raise NumericalFailure(f"at n={n} and r = {r!r} the agreeing annulus does not dominate, "
-                               f"and K={num} boundaries take K^2 steps; use a smaller epsilon")
-    sums, best, boundaries = np.zeros(num), np.full(num, -1.0), np.zeros(num, dtype=np.int64)
+    popcount = np.zeros(1, dtype=np.uint8)
+    for _ in range(n - 1):
+        popcount = np.concatenate((popcount, popcount + 1))
+    weights = levels[popcount]  # |C|^p at j xor c
+    masks = np.flatnonzero((one_minus_r * (levels[0] - levels) <= r * levels[0])[popcount])
+    depth = min(num, int(math.log(math.ulp(one_minus_r * levels[0]) / 2 / levels[0]) / log_r) + 1)
+    best, boundaries, sums = np.full(num, -1.0), np.zeros(num, dtype=np.int64), 0.0
+    if masks.size * depth <= num:
+        # Horner over each candidate column j xor mask and the columns inside it
+        for mask in masks.tolist():
+            acc = np.zeros(num)  # by column c, for the pattern c xor mask
+            for m in range(depth - 1, -1, -1):
+                acc[m:] *= r
+                acc[m:] += weights[j[m:] ^ j[:num - m] ^ mask]
+            sums, ks = one_minus_r * acc[j ^ mask], num - 1 - (j ^ mask)
+            better = (sums > best) | ((sums == best) & (ks > boundaries))
+            best[better], boundaries[better] = sums[better], ks[better]
+        return _norms(best, n, p, log_r), boundaries
     for c in range(num):  # innermost first: on ties the smaller ball stays
-        sums = one_minus_r * levels[np.bitwise_count(j ^ c)] + r * sums
+        sums = one_minus_r * weights[j ^ c] + r * sums
         better = sums > best
         best[better], boundaries[better] = sums[better], num - 1 - c
     return _norms(best, n, p, log_r), boundaries
@@ -308,7 +312,7 @@ def verify_non_ell1n(params: MorreyParams, n: int, delta: float,
         passed=bool(report.min_over_patterns > threshold),
         threshold=threshold,
         theoretical_lower_bound=theoretical_lower_bound(family),
-        nj_ratio=float(np.sum(report.values**2) / (report.values.size * n)),
+        nj_ratio=_nj(report.values, n),
         combinations=report,
         family=family,
     )
@@ -355,10 +359,17 @@ def estimate_constants(params: MorreyParams, n: int, delta_sequence) -> Constant
     )
 
 
-def _tuple_signed_norms(vectors: FiniteVectorTuple) -> np.ndarray:
-    matrix = sign_matrix(vectors.n)
-    combos = matrix.entries.astype(float).T @ vectors.vectors
-    return vectors.vector_norms(combos)
+def _signed_norms(obj) -> np.ndarray:
+    """Every signed-combination norm of a vector tuple or a witness family."""
+    if isinstance(obj, WitnessFamily):
+        return min_signed_norm(obj).values
+    if not isinstance(obj, FiniteVectorTuple):
+        raise ParameterError(f"unsupported operand {type(obj).__name__}")
+    return obj.vector_norms(sign_matrix(obj.n).entries.astype(float).T @ obj.vectors)
+
+
+def _nj(signed: np.ndarray, total) -> float:  # total: the members' squared norms
+    return float(np.sum(signed**2) / (signed.size * total))
 
 
 def nj_ratio(obj) -> float:
@@ -369,16 +380,13 @@ def nj_ratio(obj) -> float:
     witness family, every signed norm is a closed-form centered supremum (see
     min_signed_norm) and every member's norm is 1.
     """
-    if isinstance(obj, FiniteVectorTuple):
-        norms = obj.vector_norms()
-        if np.any(norms == 0.0):
-            raise ParameterError("all tuple elements must be nonzero")
-        signed, total = _tuple_signed_norms(obj), np.sum(norms**2)
-    elif isinstance(obj, WitnessFamily):
-        signed, total = min_signed_norm(obj).values, obj.n
-    else:
-        raise ParameterError(f"unsupported operand {type(obj).__name__}")
-    return float(np.sum(signed**2) / (signed.size * total))
+    signed = _signed_norms(obj)
+    if isinstance(obj, WitnessFamily):
+        return _nj(signed, obj.n)
+    norms = obj.vector_norms()
+    if np.any(norms == 0.0):
+        raise ParameterError("all tuple elements must be nonzero")
+    return _nj(signed, np.sum(norms**2))
 
 
 def j_nj_inequality_check(samples, rel_tol: float = 1e-9) -> JNJCheckReport:
@@ -390,20 +398,12 @@ def j_nj_inequality_check(samples, rel_tol: float = 1e-9) -> JNJCheckReport:
     """
     worst = (-math.inf, -1)
     for idx, sample in enumerate(samples):
-        if isinstance(sample, FiniteVectorTuple):
-            signed = _tuple_signed_norms(sample)
-        elif isinstance(sample, WitnessFamily):
-            signed = min_signed_norm(sample).norm_values
-        else:
-            raise ParameterError(f"unsupported sample {type(sample).__name__}")
+        signed = _signed_norms(sample)
         mean_sq = float(np.mean(signed**2))
         if mean_sq == 0.0:
             continue  # all combinations vanish; the bound is trivial
         ratio = float(np.min(signed)) ** 2 / mean_sq
         if ratio > worst[0]:
             worst = (ratio, idx)
-    return JNJCheckReport(
-        passed=bool(worst[0] <= 1.0 + rel_tol),
-        worst_ratio=worst[0],
-        worst_index=worst[1],
-    )
+    return JNJCheckReport(passed=bool(worst[0] <= 1.0 + rel_tol), worst_ratio=worst[0],
+                          worst_index=worst[1])

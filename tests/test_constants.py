@@ -134,11 +134,13 @@ class TestBuildWitnesses:
                     assert report.passed, (n, d)
                     assert report.combinations.values.size == 2 ** (n - 1)
 
-    def test_undominated_sums_refused_beyond_the_cap(self):
-        # r = 0.405^(1/2) = 0.64: the agreeing annulus never dominates, and
-        # scoring every boundary of 2^16 annuli would take 2^32 steps
-        with pytest.raises(NumericalFailure, match=r"n=17.*does not dominate"):
-            verify_non_ell1n(P121, 17, 0.9)
+    def test_undominated_beyond_n16(self):
+        # r = 0.2 / 2^(1/2) = 0.14: the agreeing annulus does not dominate,
+        # yet only the columns one bit from it or from its complement can
+        # hold a supremum, so 2^16 patterns cost 18 short sums each
+        report = verify_non_ell1n(P121, 17, 0.2)
+        assert report.passed
+        assert not _dominated(report.family)
 
 
 class TestCombinationCoefficients:
@@ -212,6 +214,34 @@ def _dominated(family):
     n, p = family.n, family.params.p
     r = family.epsilon ** family.params.alpha
     return (1.0 - r) * (n**p - (n - 2) ** p) > r * n**p
+
+
+def _all_boundaries(n, p, r):
+    """S of every pattern (row) at every column, innermost first, from the
+    coefficient matrix."""
+    cp = np.abs(combination_coefficients(sign_matrix(n))).astype(float) ** p
+    sums = np.zeros_like(cp)
+    for c in range(cp.shape[1]):
+        sums[:, c] = (1.0 - r) * cp[:, c] + r * (sums[:, c - 1] if c else 0.0)
+    return sums
+
+
+# dominated; candidate columns (13 masks of 2^11) at p = 1, 1.5 and 2;
+# every boundary (67 masks of 2^10, times the depth, exceed 2^10)
+@pytest.mark.parametrize("n,p,r", [(11, 1.0, 0.05), (12, 1.0, 0.2), (12, 1.5, 0.25),
+                                   (12, 2.0, 0.3), (11, 1.0, 0.3)])
+def test_kernel_paths_equal_every_boundary(n, p, r):
+    from morreykit.constants import _pattern_sups
+    sums = _all_boundaries(n, p, r)
+    values, boundaries = _pattern_sups(n, p, math.log(r))
+    num = sums.shape[1]
+    expected = (sums.max(axis=1) / (1.0 - r**num)) ** (1.0 / p)
+    assert np.allclose(values, expected, rtol=1e-14, atol=0.0)
+    # the ball is the first best one, up to rounding
+    at_ball = sums[np.arange(num), num - 1 - boundaries]
+    assert np.allclose(at_ball, sums.max(axis=1), rtol=1e-14, atol=0.0)
+    first = np.argmax(sums >= sums.max(axis=1, keepdims=True) * (1.0 - 1e-14), axis=1)
+    assert np.array_equal(num - 1 - boundaries, first)
 
 
 class TestPatternsEqualPerProfileLoop:
@@ -460,10 +490,10 @@ class TestJNJInequality:
     def test_orthonormal_tuples_reach_sqrt_n(self, n):
         # every signed combination of n orthonormal vectors has norm sqrt(n),
         # the Hilbert-space value of the minimum over signs
-        from morreykit.constants import _tuple_signed_norms
+        from morreykit.constants import _signed_norms
 
         tup = FiniteVectorTuple(vectors=np.eye(n))
-        norms = _tuple_signed_norms(tup)
+        norms = _signed_norms(tup)
         assert np.allclose(norms, math.sqrt(n), rtol=1e-12)
         report = j_nj_inequality_check([tup])
         assert report.passed
