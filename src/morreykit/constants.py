@@ -259,9 +259,9 @@ def _pattern_sups(n: int, p: float, log_r: float) -> tuple:
             for m in range(depth - 1, -1, -1):
                 acc[m:] *= r
                 acc[m:] += weights[j[m:] ^ j[:num - m] ^ mask]
-            sums, ks = one_minus_r * acc[j ^ mask], num - 1 - (j ^ mask)
-            better = (sums > best) | ((sums == best) & (ks > boundaries))
-            best[better], boundaries[better] = sums[better], ks[better]
+            sums = one_minus_r * acc[j ^ mask]
+            better = sums > best  # on ties the lower mask stays
+            best[better], boundaries[better] = sums[better], num - 1 - (j ^ mask)[better]
         return _norms(best, n, p, log_r), boundaries
     for c in range(num):  # innermost first: on ties the smaller ball stays
         sums = one_minus_r * weights[j ^ c] + r * sums
