@@ -255,6 +255,7 @@ class NormMethod(str, Enum):
     CLOSED_FORM = "closed_form"
     CENTERED_SEARCH = "centered_search"
     OFFCENTER_SEARCH = "offcenter_search"
+    OFFCENTER_EXACT = "offcenter_exact"
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
-"""Brute-force norm evaluation: off-center ball integrals via the radial
-reduction, a supremum search over one fixed set of balls (a grid of center
-distances and radii plus the window-corner balls) with a batched local
-refinement, shared by profiles on the same annuli.
+"""Norms over all balls, centered or not, shared by profiles on the same
+annuli: exact at d = 1, where the supremum is centered or on a pair of
+annulus boundaries (_interval_sups); at d >= 2 off-center ball integrals via
+the radial reduction and a supremum search over one fixed set of balls (a
+grid of center distances and radii plus the window-corner balls) with a
+batched local refinement.
 
 For a radial integrand, the integral over a ball B(a, R) collapses to
 
@@ -20,12 +22,13 @@ sin_power_integral for sine powers m >= 2, that is for d >= 4.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closedform import (annulus_ends, annulus_masses, centered_norm, log_morrey_quantity,
-                         mass_prefix, morrey_quantity, shell_integral)
+from .closedform import (_RANK_SLACK, annulus_ends, annulus_masses, centered_norm,
+                         centered_sups, log_morrey_quantity, mass_prefix, morrey_quantity,
+                         shell_integral)
 from .core import (
     Ball,
     NormMethod,
@@ -368,11 +371,7 @@ class _BatchObjective:
     def __init__(self, profiles):
         params = profiles[0].params
         self.params, self.d, self.alpha = params, params.d, params.alpha
-        annuli = [ann for ann, _ in profiles[0].segments]
-        if any(profile.params != params or [ann for ann, _ in profile.segments] != annuli
-               for profile in profiles):
-            raise ParameterError("batched profiles must share params and annuli")
-        self.lo, self.hi = annulus_ends(profiles[0])
+        self.lo, self.hi = _shared_ends(profiles)
         self.cp = np.ascontiguousarray(
             np.abs(np.array([pr.coefficients for pr in profiles]).T) ** params.p)
         fine = self.alpha < 0.5 or self.d >= 4
@@ -507,15 +506,48 @@ def _search_balls(profile: PiecewiseRadialPower):
 
 def morrey_norm_numeric(profile: PiecewiseRadialPower,
                         cfg: SearchConfig = DEFAULT_SEARCH) -> NormReport:
-    """Supremum search over center distance and radius: morrey_norms_shared
-    on the single profile."""
+    """The Morrey norm of one profile: morrey_norms_shared on it alone."""
     return morrey_norms_shared([profile], cfg)[0]
 
 
 def morrey_norms_shared(profiles, cfg: SearchConfig = DEFAULT_SEARCH) -> list:
-    """Supremum searches for profiles that share params and annuli, from one
-    pass over the balls of _search_balls; returns one NormReport per
-    profile, in order.  The search reads nothing from cfg.
+    """Morrey norms of profiles that share params and annuli; returns one
+    NormReport per profile, in order.  Nothing is read from cfg.
+
+    The pure power's single annulus forces the unit coefficient, so every
+    profile sharing it is the pure power, whose closed-form norm
+    (closedform.centered_norm) is returned for each.  At d = 1 the norms
+    are exact (_interval_sups); at d >= 2 they come from the supremum
+    search (_search).
+    """
+    profiles = list(profiles)
+    if not profiles:
+        raise ParameterError("need at least one profile")
+    if profiles[0].is_pure_power:
+        return [centered_norm(profiles[0])] * len(profiles)
+    lo, hi = _shared_ends(profiles)
+    if profiles[0].params.d == 1:
+        return _interval_sups(profiles, lo, hi)
+    return _search(profiles)
+
+
+def _shared_ends(profiles):
+    """The annulus ends (lo, hi) of the first profile; ParameterError unless
+    every profile has its params and annuli."""
+    params = profiles[0].params
+    annuli = [ann for ann, _ in profiles[0].segments]
+    if any(profile.params != params or [ann for ann, _ in profile.segments] != annuli
+           for profile in profiles):
+        raise ParameterError("batched profiles must share params and annuli")
+    return annulus_ends(profiles[0])
+
+
+def _search(profiles) -> list:
+    """Supremum searches for bounded profiles that share params and annuli,
+    from one pass over the balls of _search_balls; one NormReport per
+    profile, in order.  morrey_norms_shared runs it at d >= 2; at d = 1,
+    where _interval_sups is exact, it serves the tests as an independent
+    oracle.
 
     The balls are scored for all profiles at once (see _BatchObjective), in
     blocks of _BALL_BLOCK, and each profile keeps its first best ball.  The
@@ -531,17 +563,7 @@ def morrey_norms_shared(profiles, cfg: SearchConfig = DEFAULT_SEARCH) -> list:
     mass of the centered ball at the support radius, a grid ball, so its
     Morrey quantity is at most (R / support)^(-d (1/p - 1/q)) times that
     ball's.
-
-    The pure power's single annulus forces the unit coefficient, so every
-    profile sharing it is the pure power, whose closed-form norm
-    (closedform.centered_norm) is returned for each.
     """
-    profiles = list(profiles)
-    if not profiles:
-        raise ParameterError("need at least one profile")
-    if profiles[0].is_pure_power:
-        return [centered_norm(profiles[0])] * len(profiles)
-
     objective = _BatchObjective(profiles)
     aa, rr = _search_balls(profiles[0])
     columns = np.arange(len(profiles))
@@ -647,3 +669,106 @@ def _rescore(profile, ball) -> float:
     mass = ball_p_integral(profile, ball)
     return morrey_quantity(profile.params, ball.radius, mass) if mass > 0.0 else 0.0
 
+
+# --- exact d = 1 norms -------------------------------------------------------
+
+
+#: Elements per (cells x cells x columns) array of _interval_sups: 1 MB
+#: each, 8 columns per block for the 128 annuli of the n = 8 witness family,
+#: and blocks of fewer than all start cells beyond 362 cells.
+_PAIR_BLOCK = 1 << 17
+
+
+def _interval_sups(profiles, lo, hi) -> list:
+    """One exact supremum NormReport per profile, at d = 1, for bounded
+    profiles on the shared annuli (lo[k], hi[k]).
+
+    A d = 1 ball is an interval (x1, x2), with x1 + x2 >= 0 by symmetry, and
+    Q^p = const M / L^alpha for its mass M and length L = x2 - x1.  Let G(x)
+    be the mass of (0, x) and F(r) = 2 G(r) / (2 r)^alpha the centered Q^p.
+
+    An interval (-u, x2) that holds the origin, 0 < u <= x2, holds
+    G(u) + G(x2) = (F(u) (2u)^alpha + F(x2) (2 x2)^alpha) / 2, at most
+    max(F(u), F(x2)) (u + x2)^alpha since t^alpha is concave: no centered
+    supremum (closedform.centered_sups) is beaten by it.  Nor by (0, x2),
+    which has 2^(alpha - 1) times F(x2).
+
+    Beside the origin, 0 < x1 < x2, let z_0 = 0 < z_1 < ... < z_m be 0 and
+    the annulus boundaries.  On a cell (z_s, z_(s+1)),
+    G(x) = A_s + B_s x^alpha with B_s = |c_s|^p / alpha (0 on a gap).  With
+    both ends in fixed cells, dilate the interval about the origin:
+    M = dA + lambda^alpha (M - dA) with dA = A_j - A_i fixed, and
+    alpha / p = 1/p - 1/q gives
+
+        d log Q / d log lambda = -(1/p - 1/q) dA / M,
+
+    of one sign on the cell.  So Q is monotone along every dilation, and its
+    supremum over a cell lies on an edge, where one end sits on a boundary
+    b.  With the other end v in the cell s,
+
+        d log Q / dv = (1/p - 1/q) (G(b) - A_s - b B_s v^(alpha-1)) / (L M),
+
+    which can only turn from - to + as v grows (alpha < 1): an edge has a
+    minimum at most, and Q is largest at one of its ends.  (For (-b, v),
+    which holds the origin, the sign flips and the edge has a maximum at
+    v^(alpha-1) = (G(b) + A_s) / (b B_s), which the centered balls bound as
+    above.)  Past z_m, G is constant and Q falls as x2 moves out.  So the
+    supremum is centered_sups' or that of a pair z_i < z_j, i >= 1: the
+    pairs from z_0 are the intervals (0, x2) above.
+
+    centered_sups' report is kept unless a pair beats it strictly, so a
+    radially decreasing profile keeps its centered value bit for bit.  The
+    pairs are ranked by log_morrey_quantity, which keeps the deep annuli of
+    the witness families in range, from running sums of whole-annulus
+    masses from each start, where no difference cancels; those within
+    _RANK_SLACK of a profile's best are scored exactly, by ball_p_integral's
+    per-annulus shell integrals (_rescore), and the first largest wins.
+    abs_uncertainty is centered_sups' rounding allowance, 4e-12 relative.
+    Profiles run in blocks of about _PAIR_BLOCK pairs each.
+    """
+    params = profiles[0].params
+    cp = np.array([[abs(coeff) ** params.p for _, coeff in profile.segments]
+                   for profile in profiles]).T  # Python powers, as centered_norm's
+    reports = [replace(report, method=NormMethod.OFFCENTER_EXACT)
+               for report in centered_sups(params, lo, hi, cp)]
+    z = np.array(sorted({r for r in lo.tolist() + hi.tolist() if r > 0.0}))
+    m = z.size - 1
+    if m == 0:
+        return reports
+    # The annulus on each cell (z_s, z_(s+1)), or the zero row lo.size on a gap.
+    k = np.searchsorted(lo, z[:-1])
+    k = np.where(lo[np.minimum(k, lo.size - 1)] == z[:-1], k, lo.size)
+    cell_mass = np.append(annulus_masses(params, lo, hi), 0.0)[k]
+    cell_cp = np.vstack([cp, np.zeros_like(cp[:1])])[k]
+    cells = np.arange(m)
+    step = max(1, _PAIR_BLOCK // (m * m))
+    rows = max(1, _PAIR_BLOCK // (m * step))  # m, unless one profile has too many pairs
+    for start in range(0, cp.shape[1], step):
+        block = slice(start, start + step)
+        weight = cell_mass[:, None] * cell_cp[:, block]
+        with np.errstate(divide="ignore"):
+            top = np.log([r.value for r in reports[block]])
+        found = []
+        for row in range(0, m, rows):
+            # The pairs (z[i], z[j + 1]) with i in the row block, and their
+            # two-sided masses, summed from cell i.
+            later = cells[row:row + rows, None] <= cells[None, row:]
+            first, last = np.nonzero(later)
+            run = np.cumsum(np.where(later[:, :, None], weight[None, row:], 0.0), axis=1)
+            radii = 0.5 * (z[row + last + 1] - z[row + first])
+            with np.errstate(divide="ignore"):
+                rank = log_morrey_quantity(params, radii[:, None], np.log(0.5 * run[first, last]))
+            top = np.maximum(top, rank.max(axis=0))
+            pair, col = np.nonzero(rank >= top - _RANK_SLACK)
+            found.append((rank[pair, col], row + first[pair], row + last[pair] + 1, col))
+        rank, first, last, col = map(np.concatenate, zip(*found))
+        keep = (rank >= top[col] - _RANK_SLACK) & np.isfinite(top[col])
+        pairs = zip(first[keep].tolist(), last[keep].tolist(), (col[keep] + start).tolist())
+        for i, j, col in pairs:
+            ball = Ball(0.5 * (z[i] + z[j]), 0.5 * (z[j] - z[i]))
+            value = _rescore(profiles[col], ball)
+            if value > reports[col].value:
+                reports[col] = NormReport(value=value, argmax_ball=ball,
+                                          method=NormMethod.OFFCENTER_EXACT,
+                                          abs_uncertainty=4.0 * value * 1e-12)
+    return reports

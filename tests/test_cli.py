@@ -58,6 +58,9 @@ class TestNorm:
         pairs = parse_kv(out)
         assert float(pairs["relative_difference"]) < 1e-3
         assert math.isclose(float(pairs["closed_value"]), math.sqrt(2), rel_tol=1e-9)
+        # d = 1: the numeric norm is exact, up to rounding
+        assert pairs["numeric_method"] == "offcenter_exact"
+        assert float(pairs["numeric_abs_uncertainty"]) < 1e-11
 
     def test_empty_segments_exit_2(self, capsys, tmp_path):
         path = tmp_path / "empty.profile"

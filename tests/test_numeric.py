@@ -863,24 +863,28 @@ def _bound_cases():
             yield pytest.param(profiles + [family.functions[0]], id=f"witness-d{d}-n{n}")
 
 
-def _two_shell_cases(count=36):
+def _two_shells(rng, d):
     """Two thin shells of relative widths 1e-3 to 0.3, the second from 1.001
-    to 4 times as far out as the first ends, d = 1..3 and 1 <= p < q.  The
-    pruning bounds an off-center ball that holds the origin by one centered
-    mass and a ball beside the origin by a shell's, and it keeps and drops
-    balls of both kinds here."""
+    to 4 times as far out as the first ends, 1 <= p < q."""
+    p = 1.0 + rng.random()
+    params = MorreyParams(p, p * (1.2 + 4.0 * rng.random()), d)
+    widths = np.exp(rng.uniform(math.log(1e-3), math.log(0.3), 2))
+    inner = rng.uniform(0.1, 1.0)
+    outer = inner * (1.0 + widths[0]) * math.exp(rng.uniform(math.log(1.001), math.log(4.0)))
+    c_in, c_out = rng.normal(scale=1.5, size=2)
+    return PiecewiseRadialPower(params, (
+        (Annulus(inner, inner * (1.0 + widths[0])), float(c_in)),
+        (Annulus(outer, outer * (1.0 + widths[1])), float(c_out))))
+
+
+def _two_shell_cases(count=36):
+    """_two_shells at d = 1..3.  The pruning bounds an off-center ball that
+    holds the origin by one centered mass and a ball beside the origin by a
+    shell's, and it keeps and drops balls of both kinds here."""
     rng = np.random.default_rng(41)
     for k in range(count):
-        p = 1.0 + rng.random()
-        params = MorreyParams(p, p * (1.2 + 4.0 * rng.random()), 1 + k % 3)
-        widths = np.exp(rng.uniform(math.log(1e-3), math.log(0.3), 2))
-        inner = rng.uniform(0.1, 1.0)
-        outer = inner * (1.0 + widths[0]) * math.exp(rng.uniform(math.log(1.001), math.log(4.0)))
-        c_in, c_out = rng.normal(scale=1.5, size=2)
-        profile = PiecewiseRadialPower(params, (
-            (Annulus(inner, inner * (1.0 + widths[0])), float(c_in)),
-            (Annulus(outer, outer * (1.0 + widths[1])), float(c_out))))
-        yield pytest.param([profile], id=f"two-shell-{k}-d{params.d}")
+        profile = _two_shells(rng, 1 + k % 3)
+        yield pytest.param([profile], id=f"two-shell-{k}-d{profile.params.d}")
 
 
 #: The search's pruned grid against every grid ball.
@@ -989,7 +993,7 @@ class TestMassBound:
             return refine(objective, a0, r0, v0)
 
         monkeypatch.setattr(numeric, "_refine", spy)
-        morrey_norms_shared(profiles)
+        numeric._search(profiles)
         # Every search ball scored in one call; np.argmax keeps the first of
         # tied balls, as the search's strict comparison across blocks does.
         objective = _BatchObjective(profiles)
@@ -1012,12 +1016,12 @@ class TestMassBound:
             return call(objective, a, big_r)
 
         monkeypatch.setattr(_BatchObjective, "__call__", counted)
-        pruned = _report_tuples(morrey_norms_shared(profiles))
+        pruned = _report_tuples(numeric._search(profiles))
         pruned_balls = sum(scored)
         monkeypatch.setattr(_BatchObjective, "_may_reach",
                             lambda objective, a, big_r, floor: np.ones(a.size, dtype=bool))
         scored.clear()
-        assert _report_tuples(morrey_norms_shared(profiles)) == pruned
+        assert _report_tuples(numeric._search(profiles)) == pruned
         assert pruned_balls < sum(scored)
 
 
@@ -1132,9 +1136,9 @@ def _assert_ladder_matches_one_round(profiles, monkeypatch):
         return got
 
     monkeypatch.setattr(numeric, "_refine", spy)
-    reports = morrey_norms_shared(profiles)
+    reports = numeric._search(profiles)
     monkeypatch.setattr(numeric, "_refine", _one_round_refine)
-    expected = morrey_norms_shared(profiles)
+    expected = numeric._search(profiles)
     monkeypatch.setattr(numeric, "_refine", ladder)
     (got, want), = refined
     assert all(np.array_equal(x, y) for x, y in zip(got, want))
@@ -1177,3 +1181,193 @@ def test_search_config_validation():
     for name in ("center_grid", "radius_grid", "quad_points"):
         with pytest.raises(TypeError):
             SearchConfig(**{name: 8})
+
+
+# --- exact d = 1 norms (numeric._interval_sups) ------------------------------
+
+
+def _d1_cases(cases):
+    return [case for case in cases if case.values[0][0].params.d == 1]
+
+
+def _thin_two_shells(count, seed):
+    rng = np.random.default_rng(seed)
+    return [_two_shells(rng, 1) for _ in range(count)]
+
+
+def _random_d1_profiles(count, seed):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        drawn = random_params(rng)
+        params = MorreyParams(drawn.p, drawn.q, 1)
+        yield random_bounded_profile(params, rng, monotone=bool(i % 2))
+
+
+def _ided(profiles, name):
+    return [pytest.param(profile, id=f"{name}-{i}") for i, profile in enumerate(profiles)]
+
+
+def _interval_quantities(profile, x1, x2):
+    """Morrey quantities of the intervals (x1, x2), x1 < x2, from each
+    annulus' two halves in closed form: int_s^t x^(-p/q) dx =
+    t^alpha (1 - (s/t)^alpha) / alpha, with expm1 so that thin pieces keep
+    their digits."""
+    params, alpha = profile.params, profile.params.alpha
+    lo, hi = annulus_ends(profile)
+
+    def piece(s, t):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(t > s, t ** alpha * -np.expm1(alpha * np.log(s / t)) / alpha, 0.0)
+
+    x1, x2 = x1[:, None], x2[:, None]
+    pieces = (piece(np.clip(x1, lo, hi), np.clip(x2, lo, hi))
+              + piece(np.clip(-x2, lo, hi), np.clip(-x1, lo, hi)))
+    mass = pieces @ (np.abs(profile.coefficients) ** params.p)
+    return (x2[:, 0] - x1[:, 0]) ** (1 / params.q - 1 / params.p) * mass ** (1 / params.p)
+
+
+class TestIntervalSups:
+    """At d = 1 morrey_norms_shared is exact, with no search: the centered
+    supremum or the best interval between two boundaries beside the origin
+    (numeric._interval_sups)."""
+
+    @pytest.mark.parametrize("profile", _ided(_random_d1_profiles(16, 17), "random")
+                             + _ided(_thin_two_shells(8, 5), "thin"))
+    def test_value_is_attained_by_its_ball(self, profile):
+        # |f|^p integrated over the reported interval in 30-digit mpmath,
+        # piece by piece between 0 and the signed boundaries inside it.
+        mpmath = pytest.importorskip("mpmath")
+        report = morrey_norm_numeric(profile)
+        assert report.method is NormMethod.OFFCENTER_EXACT
+        assert report.abs_uncertainty == 4.0 * report.value * 1e-12
+        assert report.value == pytest.approx(numeric._rescore(profile, report.argmax_ball),
+                                             rel=1e-14)
+        params, ball = profile.params, report.argmax_ball
+        with mpmath.workdps(30):
+            a, big_r = mpmath.mpf(ball.center_dist), mpmath.mpf(ball.radius)
+            x1, x2 = a - big_r, a + big_r
+            cuts = sorted({x1, x2, mpmath.mpf(0)} | {
+                s * mpmath.mpf(b) for b in profile.boundaries.tolist() for s in (-1, 1)})
+            cuts = [c for c in cuts if x1 <= c <= x2]
+            alpha = 1 - mpmath.mpf(params.p) / params.q
+            mass = mpmath.mpf(0)
+            for s, t in zip(cuts, cuts[1:]):
+                mid = abs((s + t) / 2)
+                weight = sum((abs(mpmath.mpf(c)) ** params.p for ann, c in profile.segments
+                              if ann.r_lo < mid < ann.r_hi), mpmath.mpf(0))
+                mass += weight * abs(abs(t) ** alpha - abs(s) ** alpha) / alpha
+            ref = (2 * big_r) ** (mpmath.mpf(1) / params.q - mpmath.mpf(1) / params.p) \
+                * mass ** (1 / mpmath.mpf(params.p))
+            assert abs(report.value - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("profile", _ided(_random_d1_profiles(12, 29), "random")
+                             + _ided(_thin_two_shells(12, 6), "thin"))
+    def test_dense_scan_finds_no_larger_interval(self, profile):
+        # Every interval whose ends lie on the signed boundaries and on a
+        # 300-point geometric grid, 0 included.
+        bounds = profile.boundaries[profile.boundaries > 0.0]
+        ends = np.unique(np.concatenate(
+            [bounds, np.geomspace(bounds[0] * 1e-2, 1.5 * bounds[-1], 300)]))
+        points = np.concatenate([-ends[::-1], [0.0], ends])
+        x1, x2 = np.meshgrid(points, points, indexing="ij")
+        pairs = (x1 < x2) & (x1 + x2 >= 0.0)
+        scan = _interval_quantities(profile, x1[pairs], x2[pairs])
+        assert scan.max() <= morrey_norm_numeric(profile).value * (1.0 + 1e-12)
+
+    def test_edge_maximum_lies_below_the_centered_norm(self):
+        # p = 1, q = 2: on the cell (4, 30), where G(x) = A + B x^(1/2) with
+        # B = 2 c, c = 0.95 and A = G(4) - 4 c, G(4) = 2.2, the intervals
+        # (-1, v) peak at v^(-1/2) = (G(1) + A) / B, G(1) = 2: v = 4.75^2.
+        # The interval holds the origin, so the centered balls still bound it.
+        profile = PiecewiseRadialPower(MorreyParams(1.0, 2.0, 1), (
+            (Annulus(0.0, 1.0), 1.0), (Annulus(1.0, 4.0), 0.1), (Annulus(4.0, 30.0), 0.95)))
+        v = 4.75 ** 2
+
+        def log_q(x2):
+            return math.log(numeric._rescore(profile, Ball(0.5 * (x2 - 1.0), 0.5 * (x2 + 1.0))))
+
+        def slope(x2, h=1e-5):  # d log Q / d log v, by central differences
+            return (log_q(x2 * (1 + h)) - log_q(x2 * (1 - h))) / (2 * h)
+
+        assert abs(slope(v)) < 1e-8
+        assert slope(v * 0.99) > 1e-4 and slope(v * 1.01) < -1e-4
+        assert log_q(v) > max(log_q(v * 0.999), log_q(v * 1.001))
+        assert math.exp(log_q(v)) < 0.9 * morrey_norm_numeric(profile).value
+
+    def test_every_pair_scored_exactly_changes_no_report(self, monkeypatch):
+        # With no rank slack every boundary pair is scored by
+        # ball_p_integral, and the reports stay the same.
+        profiles = [*_random_d1_profiles(8, 3), *_thin_two_shells(8, 4)]
+        expected = [_report_tuples(morrey_norms_shared([pr])) for pr in profiles]
+        scored, rescore = [], numeric._rescore
+
+        def spy(profile, ball):
+            scored.append(ball)
+            return rescore(profile, ball)
+
+        monkeypatch.setattr(numeric, "_RANK_SLACK", math.inf)
+        monkeypatch.setattr(numeric, "_rescore", spy)
+        assert [_report_tuples(morrey_norms_shared([pr])) for pr in profiles] == expected
+        pairs = sum(b.size * (b.size - 1) // 2 for b in (pr.boundaries[pr.boundaries > 0.0]
+                                                           for pr in profiles))
+        assert len(scored) == pairs
+
+    @pytest.mark.parametrize("gap", [1e-7, -1e-7])
+    def test_pair_and_centered_ball_a_hair_apart(self, gap):
+        # The outer shell's coefficient, by bisection, puts the interval
+        # (2, 2.02) a relative gap above or below the centered supremum.
+        params, ball = MorreyParams(1.0, 2.0, 1), Ball(2.01, 0.01)
+
+        def profile(c):
+            return PiecewiseRadialPower(params, ((Annulus(0.0, 1.0), 1.0),
+                                                 (Annulus(2.0, 2.02), c)))
+
+        def excess(c):
+            return numeric._rescore(profile(c), ball) / centered_norm(profile(c)).value - 1.0
+
+        low, high = 0.0, 100.0
+        for _ in range(80):
+            mid = 0.5 * (low + high)
+            low, high = (mid, high) if excess(mid) < gap else (low, mid)
+        report, centered = morrey_norm_numeric(profile(high)), centered_norm(profile(high))
+        assert excess(high) == pytest.approx(gap, rel=1e-3)
+        if gap > 0.0:
+            assert report.value == numeric._rescore(profile(high), report.argmax_ball)
+            assert report.argmax_ball == Ball(0.5 * (2.0 + 2.02), 0.5 * (2.02 - 2.0))
+        else:
+            assert (report.value, report.argmax_ball) == (centered.value, centered.argmax_ball)
+
+    @pytest.mark.parametrize("profiles", _d1_cases(_bound_cases()) + _d1_cases(_two_shell_cases())
+                             + _d1_cases(_thin_shell_cases()))
+    def test_never_below_the_search(self, profiles):
+        # numeric._search is the grid and compass search, which still runs
+        # at d = 1 as an independent oracle.
+        for exact, found in zip(morrey_norms_shared(profiles), numeric._search(profiles)):
+            assert exact.value >= found.value * (1.0 - 1e-12)
+
+    def test_never_below_the_search_on_thin_shells(self):
+        for profile in _thin_two_shells(200, 43):
+            exact, found = morrey_norm_numeric(profile), numeric._search([profile])[0]
+            assert exact.value >= found.value * (1.0 - 1e-12), profile
+
+    def test_monotone_profiles_keep_the_centered_report(self):
+        checked = 0
+        for profile in _random_d1_profiles(80, 11):
+            if monotone_profile_check(profile):
+                checked += 1
+                report, centered = morrey_norm_numeric(profile), centered_norm(profile)
+                assert (report.value, report.argmax_ball) == (centered.value, centered.argmax_ball)
+        assert checked >= 30
+
+    def test_blocks_change_no_report(self, monkeypatch):
+        # Blocks of one profile and one start cell, and one profile per call.
+        family = build_witnesses(MorreyParams(1.0, 2.0, 1), 5, 0.1)
+        shared = [pr for _, pr in _combination_profiles(family)]
+        alone = list(_thin_two_shells(12, 4))
+        expected = _report_tuples(morrey_norms_shared(shared))
+        expected_alone = [_report_tuples(morrey_norms_shared([pr])) for pr in alone]
+        assert any(r[0][1].center_dist > 0.0 for r in expected_alone)
+        monkeypatch.setattr(numeric, "_PAIR_BLOCK", 1)
+        assert _report_tuples(morrey_norms_shared(shared)) == expected
+        assert expected == [_report_tuples(morrey_norms_shared([pr]))[0] for pr in shared]
+        assert [_report_tuples(morrey_norms_shared([pr])) for pr in alone] == expected_alone
